@@ -3,8 +3,7 @@
 Exit codes: 0 success (certified where applicable), 3 uncertified result or
 failed sweep rows, 1 input/usage errors.  Output is deterministic: floats are
 serialized with 17 significant digits and payloads carry no timestamps, so
-identical inputs give byte-identical output.  ``ENVLP_MAX_ITER`` overrides
-the solver iteration cap.
+identical inputs give byte-identical output.
 """
 
 from __future__ import annotations
@@ -87,14 +86,8 @@ class SweepSpec:
     def __post_init__(self):
         if not self.L_values or not self.n_values:
             raise ValueError("sweep needs at least one L and one n")
-        for L in self.L_values:
-            if L < 0:
-                raise ValueError(f"harmonic budget must be nonnegative, got {L}")
-            for n in self.n_values:
-                if n < 2 * L + 1:
-                    raise ValueError(
-                        f"n={n} is below 2L+1={2 * L + 1} for L={L}"
-                    )
+        for L, n in self.pairs():
+            solver.check_run(L, n, self.grid_m)
         if self.c_prime_mode not in solver.C_PRIME_MODES:
             raise ValueError(f"bad c_prime_mode {self.c_prime_mode!r}")
 
@@ -110,19 +103,6 @@ def _int_list(text: str) -> tuple:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
     return values
-
-
-def _max_iter() -> int:
-    raw = os.environ.get("ENVLP_MAX_ITER")
-    if raw is None:
-        return 200000
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"ENVLP_MAX_ITER must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError(f"ENVLP_MAX_ITER must be positive, got {value}")
-    return value
 
 
 def _emit(text: str, out_path) -> None:
@@ -147,7 +127,6 @@ def cmd_approximate(args) -> int:
         n=args.n,
         c_prime_mode=_CPRIME_FLAGS[args.cprime_mode],
         grid_m=args.grid,
-        max_iter=_max_iter(),
     )
     _emit(dumps(result.to_dict()), args.out)
     return EXIT_OK if result.certified else EXIT_UNCERTIFIED
@@ -173,7 +152,7 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def _sweep_rows(sig: PeriodicSignal, spec: SweepSpec, max_iter: int):
+def _sweep_rows(sig: PeriodicSignal, spec: SweepSpec):
     """One result dict per (L, n) pair; failures become flagged rows."""
     rows = []
     any_failed = False
@@ -192,7 +171,6 @@ def _sweep_rows(sig: PeriodicSignal, spec: SweepSpec, max_iter: int):
                 n=n,
                 c_prime_mode=spec.c_prime_mode,
                 grid_m=spec.grid_m,
-                max_iter=max_iter,
                 initial_lam=initial_lam,
             )
         except (EnvelopeError, ValueError) as exc:
@@ -237,7 +215,7 @@ def cmd_sweep(args) -> int:
         c_prime_mode=_CPRIME_FLAGS[args.cprime_mode],
     )
     sig = _load_signal(args.signal_csv, spec.c_override)
-    rows, any_failed = _sweep_rows(sig, spec, _max_iter())
+    rows, any_failed = _sweep_rows(sig, spec)
     text = _sweep_csv(rows) if args.format == "csv" else dumps(rows)
     _emit(text, args.out)
     return EXIT_UNCERTIFIED if any_failed else EXIT_OK

@@ -30,9 +30,10 @@ class DimensionMismatch(EnvelopeError, ValueError):
 
 
 class NotConverged(EnvelopeError, RuntimeError):
-    """Solver hit its iteration cap with residuals still above tolerance.
+    """A solve ended without a KKT-certified result.
 
-    The best iterate and its diagnostics are attached as ``solution``.
+    The message starts with the failing stage (``qp: ...``); the last iterate
+    and its residuals are attached as ``solution``.
     """
 
     def __init__(self, message: str, solution=None):

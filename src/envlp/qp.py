@@ -1,23 +1,18 @@
-"""Dual coordinate-ascent solver for diagonal quadratic programs.
+"""Dual active-set solver for diagonal quadratic programs.
 
 Solves ``min x^T Q x  subject to  A x >= g`` with ``Q`` diagonal and positive
-definite.  Because ``Q`` is diagonal each dual coordinate update is closed
-form (Hildreth's method): with ``x(lam) = Q^{-1} A^T lam / 2`` maintained
-throughout, one sweep performs
+definite by one dual active-set pass in the style of Goldfarb and Idnani
+(Math. Programming 27, 1983): starting from the unconstrained minimum
+``x = 0`` it repeatedly adds the worst violated row, with a full step that
+makes the row tight or a partial step (ratio test on the working-set
+multipliers) that drops a blocking row first.  Because Q is diagonal, every
+direction comes from a small dense solve on the working set.
 
-    lam_i <- max(0, lam_i + (g_i - a_i . x) / h_i),   h_i = a_i . Q^{-1} a_i / 2
-
-cyclically over the constraints that are active or violated.
-
-Cyclic ascent alone stalls when two nearly parallel constraints are both
-active (adjacent grid phases straddling a tangency point): multiplier mass
-then migrates between them sublinearly and the target tolerances become
-unreachable.  The solve therefore first attempts an exact dual active-set
-pass (add the worst violated row with a full step or drop the blocking
-multiplier on a ratio test; all directions come from small dense solves,
-feasible because Q is diagonal).  Its candidate is accepted only when a
-fresh recomputation of all KKT residuals certifies it; otherwise it is
-discarded and the plain sweeps carry the solve.
+The problem is homogeneous in ``g``: ``(x, lam)`` solves it exactly when
+``(x / s, lam / s)`` solves it with ``g / s``.  The pass therefore runs on
+``g / max|g|``, so all tolerances are relative to ``max|g|`` and scaled
+inputs give scaled results.  Each result is certified by a fresh
+recomputation of all KKT residuals against the caller's problem.
 """
 
 from __future__ import annotations
@@ -29,7 +24,8 @@ import numpy as np
 from .errors import DimensionMismatch, NotConverged
 
 # Convergence targets a fraction of the contract tolerances so downstream
-# checks (certification at -1e-9, nested-cost comparisons at 1e-8) keep slack.
+# checks (certification at -1e-9 relative, nested-cost comparisons at 1e-8)
+# keep slack.
 _SAFETY = 0.1
 
 _RANK_CUT = 1e-12
@@ -127,39 +123,31 @@ def kkt_residuals(problem: QpProblem, solution: QpSolution):
     return _residuals(problem, x, lam)
 
 
-def _active_set_refine(problem, feas_target, comp_factor, stat_target):
-    """Exact dual active-set pass; returns a certified ``(x, lam)`` or None.
+def _active_set(a, g, q, feas_target):
+    """One dual active-set pass on ``A x >= g``; returns ``(x, lam, failure)``.
 
-    Starts from the unconstrained minimum and repeatedly activates the worst
-    violated row: a full step makes it tight, a partial step (ratio test on
-    the working-set multipliers) drops a blocker first.  The working set
-    stays linearly independent, so every direction comes from a small
-    positive-definite solve.  Any numerical trouble, cap overrun, or failed
-    final KKT verification returns None and leaves the solve to the sweeps.
+    ``failure`` is None once every row holds to ``feas_target``; otherwise it
+    says why the pass stopped, and ``(x, lam)`` is its last iterate.  The
+    working set stays linearly independent, so every direction comes from a
+    small positive-definite solve, and both loops are capped.
     """
-    a, g, q = problem.a_rows, problem.g, problem.q_diag
     n, d = a.shape
     ginv = 0.5 / q
     x = np.zeros(d)
     active: list[int] = []
     lam_active: list[float] = []
+
+    def multipliers():
+        lam = np.zeros(n)
+        for idx, value in zip(active, lam_active):
+            lam[idx] += max(value, 0.0)
+        return lam
+
     for _outer in range(30 * (d + 1) + 100):
         slack = a @ x - g
         p = int(np.argmin(slack))
         if slack[p] >= -0.5 * feas_target:
-            lam = np.zeros(n)
-            for idx, value in zip(active, lam_active):
-                lam[idx] += max(value, 0.0)
-            primal, _dual, _comp, stat = _residuals(problem, x, lam)
-            comp_sum = float(np.sum(np.abs(lam * slack)))
-            obj = problem.objective(x)
-            if (
-                primal <= feas_target
-                and comp_sum <= comp_factor * (1.0 + abs(obj))
-                and stat <= stat_target
-            ):
-                return x, lam
-            return None
+            return x, multipliers(), None
         row_p = a[p]
         scale_p = float(row_p @ (ginv * row_p))
         lam_p = 0.0
@@ -178,6 +166,10 @@ def _active_set_refine(problem, feas_target, comp_factor, stat_target):
                 z = ginv * row_p
             viol = float(g[p] - row_p @ x)
             if viol <= 0.25 * feas_target:
+                # The drop steps alone satisfied row p; its multiplier stays.
+                if lam_p > 0.0:
+                    active.append(p)
+                    lam_active.append(lam_p)
                 break
             denom = float(row_p @ z)
             t_full = viol / denom if denom > _RANK_CUT * max(scale_p, 1.0) else np.inf
@@ -190,7 +182,8 @@ def _active_set_refine(problem, feas_target, comp_factor, stat_target):
                         t_drop, blocker = bound, k
             step = min(t_full, t_drop)
             if not np.isfinite(step):
-                return None
+                failure = f"constraints are infeasible: row {p} cannot be satisfied"
+                return x, multipliers(), failure
             x = x + step * z
             lam_p += step
             for k in range(len(active)):
@@ -203,32 +196,35 @@ def _active_set_refine(problem, feas_target, comp_factor, stat_target):
             lam_active.append(lam_p)
             break
         else:
-            return None
-    return None
+            return x, multipliers(), f"row {p} still violated after {3 * d + 20} drops"
+    return x, multipliers(), f"no feasible point after {30 * (d + 1) + 100} rows added"
 
 
 def solve(
     problem: QpProblem,
     tol_feas: float = 1e-9,
     tol_stat: float = 1e-8,
-    max_iter: int = 200000,
     initial_lam: np.ndarray | None = None,
 ) -> QpSolution:
-    """Minimize ``x^T Q x`` over ``A x >= g`` by dual coordinate ascent.
+    """Minimize ``x^T Q x`` over ``A x >= g`` by one dual active-set pass.
 
-    One iteration is a full sweep over the working set (constraints with a
-    positive multiplier or a violated row); the first iteration additionally
-    attempts the exact active-set refinement, which usually finishes the
-    solve outright.  Warm starts are accepted through ``initial_lam``
-    (clipped to be nonnegative).
+    ``tol_feas`` and ``tol_stat`` are relative to ``s = max|g|`` (``s = 1``
+    when ``g`` is zero): the returned solution has primal violation at most
+    ``0.1 * tol_feas * s``, stationarity at most ``0.5 * tol_stat * s`` and
+    summed complementarity at most ``0.1 * tol_stat * (s**2 + x^T Q x)``.
 
-    Raises :class:`NotConverged` (with the best iterate attached) when
-    ``max_iter`` iterations did not bring the residuals below tolerance.
+    A warm start ``initial_lam`` (clipped to be nonnegative; zero when
+    omitted) is checked first through ``x = A^T lam / (2Q)``.  If it already
+    meets the tolerances it is returned with ``iterations == 0``; otherwise
+    the active-set pass runs and ``iterations == 1``.
+
+    Raises :class:`NotConverged` with the pass's last iterate attached when
+    the constraints are infeasible or the result fails KKT verification.
     """
     a = problem.a_rows
     g = problem.g
     q = problem.q_diag
-    n, d = a.shape
+    n = problem.n
 
     if initial_lam is None:
         lam = np.zeros(n)
@@ -240,17 +236,19 @@ def solve(
             )
         lam = np.maximum(lam, 0.0)
 
-    # x is kept equal to Q^{-1} A^T lam / 2; u holds the per-row primal steps.
-    u = a / (2.0 * q)
-    h = np.einsum("ij,ij->i", a, u)
-    updatable = h > 0.0
-
+    s = float(np.max(np.abs(g), initial=0.0)) or 1.0
     feas_target = _SAFETY * tol_feas
     comp_factor = _SAFETY * tol_stat
     stat_target = 0.5 * tol_stat
 
-    def _pack(x, lam_out, iterations, converged):
+    def _pack(x, lam_out, iterations):
         primal, dual, comp, stat = _residuals(problem, x, lam_out)
+        comp_sum = float(np.sum(np.abs(lam_out * (a @ x - g))))
+        converged = (
+            primal <= feas_target * s
+            and comp_sum <= comp_factor * (s * s + problem.objective(x))
+            and stat <= stat_target * s
+        )
         return QpSolution(
             x=x,
             lam=lam_out,
@@ -262,37 +260,16 @@ def solve(
             stationarity=stat,
         )
 
-    for sweep in range(max_iter + 1):
-        # Fresh recomputation each sweep kills incremental drift in x.
-        x = u.T @ lam
-        slack = a @ x - g
-        viol = float(max(0.0, -np.min(slack, initial=0.0)))
-        comp_sum = float(np.sum(np.abs(lam * slack)))
-        obj = problem.objective(x)
-        if viol <= feas_target and comp_sum <= comp_factor * (1.0 + abs(obj)):
-            return _pack(x, lam.copy(), sweep, True)
-        if sweep == max_iter:
-            break
-        if sweep == 0:
-            refined = _active_set_refine(
-                problem, feas_target, comp_factor, stat_target
-            )
-            if refined is not None:
-                return _pack(refined[0], refined[1], 1, True)
-        work = np.flatnonzero(((lam > 0.0) | (slack < 0.0)) & updatable)
-        for i in work:
-            ai = a[i]
-            delta = (g[i] - ai @ x) / h[i]
-            if delta < -lam[i]:
-                delta = -lam[i]
-            if delta != 0.0:
-                lam[i] += delta
-                x = x + delta * u[i]
-
-    solution = _pack(u.T @ lam, lam.copy(), max_iter, False)
+    warm = _pack((a.T @ lam) / (2.0 * q), lam, 0)
+    if warm.converged:
+        return warm
+    x, lam, failure = _active_set(a, g / s, q, feas_target)
+    solution = _pack(s * x, s * lam, 1)
+    if solution.converged:
+        return solution
     raise NotConverged(
-        f"no convergence in {max_iter} sweeps "
+        f"qp: {failure or 'KKT verification failed'} "
         f"(primal_violation={solution.primal_violation:.3e}, "
-        f"complementarity={solution.complementarity:.3e})",
+        f"stationarity={solution.stationarity:.3e})",
         solution=solution,
     )

@@ -27,7 +27,7 @@ from .signals import PeriodicSignal
 
 MAX_CONSTRAINTS = 10 ** 6
 
-CERTIFY_TOL = 1e-9
+CERTIFY_TOL = 1e-9  # relative to the signal's largest absolute sample
 DEFAULT_CERTIFY_GRID = 8192
 
 EXACT_POSTSOLVE = "exact_postsolve"
@@ -85,22 +85,32 @@ class EnvelopeResult:
         }
 
 
-def build_constraints(sig: PeriodicSignal, L: int, n: int) -> qp.QpProblem:
-    """Assemble the ``n``-point constraint system for harmonic budget ``L``.
+def check_run(L: int, n: int | None = None, grid_m: int | None = None) -> None:
+    """Validate a harmonic budget, constraint count and certification grid.
 
-    Requires ``n >= 2L+1`` so the constraints can pin all degrees of freedom;
-    with fewer rows the polynomial between grid points is uncontrolled.
+    ``L`` must lie in ``[0, MAX_HARMONICS]``; ``n`` (when given) in
+    ``[2L+1, MAX_CONSTRAINTS]``, because with fewer than ``2L+1`` rows the
+    polynomial between grid points is uncontrolled; ``grid_m`` (when given)
+    must be at least 16.
     """
-    L = int(L)
-    n = int(n)
     if L < 0:
         raise ValueError(f"harmonic budget must be nonnegative, got {L}")
     if L > MAX_HARMONICS:
         raise BudgetTooLarge(f"harmonic budget {L} exceeds maximum {MAX_HARMONICS}")
-    if n < 2 * L + 1:
-        raise TooFewConstraints(f"need n >= 2L+1 = {2 * L + 1}, got n={n}")
-    if n > MAX_CONSTRAINTS:
-        raise ValueError(f"n={n} exceeds the supported maximum {MAX_CONSTRAINTS}")
+    if n is not None:
+        if n < 2 * L + 1:
+            raise TooFewConstraints(f"need n >= 2L+1 = {2 * L + 1}, got n={n}")
+        if n > MAX_CONSTRAINTS:
+            raise ValueError(f"n={n} exceeds the supported maximum {MAX_CONSTRAINTS}")
+    if grid_m is not None and grid_m < 16:
+        raise ValueError(f"certification grid must have >= 16 points, got {grid_m}")
+
+
+def build_constraints(sig: PeriodicSignal, L: int, n: int) -> qp.QpProblem:
+    """Assemble the ``n``-point constraint system for harmonic budget ``L``."""
+    L = int(L)
+    n = int(n)
+    check_run(L, n)
     t = np.arange(n) / n
     rows = phasor_matrix(L, t)
     g = sig.value_at(t)
@@ -113,7 +123,6 @@ def solve_appopt(
     sig: PeriodicSignal,
     L: int,
     n: int,
-    max_iter: int = 200000,
     initial_lam: np.ndarray | None = None,
 ):
     """Solve the discretized problem; returns ``(envelope, qp_solution)``.
@@ -122,7 +131,7 @@ def solve_appopt(
     feasibility tolerance; between grid phases it may dip below.
     """
     problem = build_constraints(sig, L, n)
-    solution = qp.solve(problem, max_iter=max_iter, initial_lam=initial_lam)
+    solution = qp.solve(problem, initial_lam=initial_lam)
     return FourierEnvelope.from_params(L, solution.x), solution
 
 
@@ -162,17 +171,17 @@ def certify(
     """Check the everywhere-above property on a dense phase grid.
 
     Returns ``(certified, min_margin)`` where ``min_margin`` is the smallest
-    value of envelope minus signal over ``grid_m`` uniform phases.  A grid at
+    value of envelope minus signal over ``grid_m`` uniform phases; the check
+    passes when ``min_margin >= -CERTIFY_TOL * sig.sup_norm()``.  A grid at
     least four times denser than ``max(L, 1) * n`` is recommended so dips
     between constraint phases are visible.
     """
     grid_m = int(grid_m)
-    if grid_m < 16:
-        raise ValueError(f"certification grid must have >= 16 points, got {grid_m}")
+    check_run(subopt.L, grid_m=grid_m)
     t = np.arange(grid_m) / grid_m
     margin = subopt.evaluate(t) - sig.value_at(t)
     min_margin = float(np.min(margin))
-    return min_margin >= -CERTIFY_TOL, min_margin
+    return min_margin >= -CERTIFY_TOL * sig.sup_norm(), min_margin
 
 
 def approximate(
@@ -181,7 +190,6 @@ def approximate(
     n: int,
     c_prime_mode: str = EXACT_POSTSOLVE,
     grid_m: int = DEFAULT_CERTIFY_GRID,
-    max_iter: int = 200000,
     initial_lam: np.ndarray | None = None,
 ) -> EnvelopeResult:
     """Full pipeline: solve, bound the envelope slope, lift, bound, certify.
@@ -195,9 +203,8 @@ def approximate(
         raise ValueError(
             f"c_prime_mode must be one of {C_PRIME_MODES}, got {c_prime_mode!r}"
         )
-    appopt, solution = solve_appopt(
-        sig, L, n, max_iter=max_iter, initial_lam=initial_lam
-    )
+    check_run(int(L), int(n), int(grid_m))
+    appopt, solution = solve_appopt(sig, L, n, initial_lam=initial_lam)
     c = sig.lipschitz_c
     if c_prime_mode == EXACT_POSTSOLVE:
         c_prime = appopt.derivative_bound()
@@ -226,14 +233,12 @@ def approximate(
     )
 
 
-def fine_grid_opt(
-    sig: PeriodicSignal, L: int, n_fine: int = 4096, max_iter: int = 200000
-) -> FourierEnvelope:
+def fine_grid_opt(sig: PeriodicSignal, L: int, n_fine: int = 4096) -> FourierEnvelope:
     """Dense-grid solve used as a stand-in for the continuum optimum.
 
     Its cost is within ``gap_bound(.., n_fine)`` of the true optimum, so with
     ``n_fine`` well above any comparison grid (16x or more) it serves as the
     brute-force reference in tests.
     """
-    envelope, _ = solve_appopt(sig, L, n_fine, max_iter=max_iter)
+    envelope, _ = solve_appopt(sig, L, n_fine)
     return envelope

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from envlp import write_polygon_csv, write_signal_csv
+from envlp import qp, solver, write_polygon_csv, write_signal_csv
 from envlp.cli import SweepSpec, dumps, format_float, main
+from envlp.errors import NotConverged
 
 from conftest import star_points
 
@@ -141,12 +142,21 @@ class TestSweep:
     def test_pair_below_parameter_count(self, cos_csv):
         assert main(["sweep", cos_csv, "--L", "5", "--n", "8"]) == 1
 
-    def test_failing_row_flagged_and_continues(self, cos_csv, capsys):
-        rc = main(["sweep", cos_csv, "--L", "0", "--n", "8,2000000"])
+    def test_failing_row_flagged_and_continues(self, cos_csv, capsys, monkeypatch):
+        real = solver.approximate
+
+        def fail_at_16(sig, L, n, **kwargs):
+            if n == 16:
+                raise NotConverged("qp: forced failure")
+            return real(sig, L=L, n=n, **kwargs)
+
+        monkeypatch.setattr(solver, "approximate", fail_at_16)
+        rc = main(["sweep", cos_csv, "--L", "0", "--n", "8,16,32"])
         rows = json.loads(capsys.readouterr().out)
         assert rc == 3
         assert "cost_appopt" in rows[0]
-        assert "error" in rows[1]
+        assert rows[1] == {"L": 0, "n": 16, "error": "qp: forced failure"}
+        assert "cost_appopt" in rows[2]
 
     def test_csv_table_format(self, cos_csv, capsys):
         rc = main(["sweep", cos_csv, "--L", "1", "--n", "8,16", "--format", "csv"])
@@ -163,6 +173,28 @@ class TestSweep:
             rc = main(["sweep", star_csv, "--L", "1,2", "--n", "16,32", "--out", str(out)])
             assert rc == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("command", ["approximate", "sweep"])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--L", "65", "--n", "200"],
+            ["--L", "1", "--n", "2000000"],
+            ["--L", "1", "--n", "64", "--grid", "8"],
+        ],
+        ids=["L65", "n2e6", "grid8"],
+    )
+    def test_invalid_run_rejected_before_solving(
+        self, cos_csv, capsys, monkeypatch, command, flags
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved an invalid run")
+
+        monkeypatch.setattr(qp, "solve", no_solve)
+        assert main([command, cos_csv] + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "envlp: error:" in captured.err
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -205,13 +237,3 @@ class TestCertify:
         payload["subopt"]["b_re"] = [0.1, 0.2]
         result.write_text(json.dumps(payload))
         assert main(["certify", str(result), cos_csv]) == 1
-
-
-class TestEnvironment:
-    def test_max_iter_override_invalid(self, const_csv, monkeypatch, capsys):
-        monkeypatch.setenv("ENVLP_MAX_ITER", "zero")
-        assert main(["approximate", const_csv, "--L", "0", "--n", "8"]) == 1
-
-    def test_max_iter_override_used(self, const_csv, monkeypatch, capsys):
-        monkeypatch.setenv("ENVLP_MAX_ITER", "50000")
-        assert main(["approximate", const_csv, "--L", "0", "--n", "8"]) == 0

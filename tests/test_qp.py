@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -177,12 +179,13 @@ class TestInvariances:
 class TestFailureModes:
     def test_infeasible_problem_raises_not_converged(self):
         p = QpProblem(q_diag=[1.0], a_rows=[[1.0], [-1.0]], g=[1.0, 1.0])
-        with pytest.raises(NotConverged) as info:
-            solve(p, max_iter=50)
+        start = time.perf_counter()
+        with pytest.raises(NotConverged, match="^qp: ") as info:
+            solve(p)
+        assert time.perf_counter() - start < 1.0
         best = info.value.solution
         assert best is not None
         assert not best.converged
-        assert best.iterations == 50
         assert best.primal_violation > 0.0
 
     def test_initial_lam_length_checked(self):

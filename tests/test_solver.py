@@ -17,6 +17,21 @@ from envlp.fourier import FourierEnvelope
 from conftest import smooth_signal
 
 
+_T = np.arange(2048) / 2048
+# (samples, L, n) whose active-set pass needs the multiplier of a row that
+# drop steps alone satisfied (pulse) or tolerances relative to max|g| (at
+# 1e-8 and 1e8); without either the solve raises or loses accuracy.
+SCALE_FAMILIES = {
+    "pulse": (1.0 + (np.mod(4 * np.mod(_T - 0.973, 1.0), 1.0) < 0.046), 4, 256),
+    "square": (1.0 + 0.5 * np.sign(np.sin(2 * np.pi * (_T - 0.3))), 4, 256),
+    "smooth": (
+        1.5 + sum(0.5 / k * np.cos(2 * np.pi * k * _T + k) for k in range(1, 9)),
+        8,
+        256,
+    ),
+}
+
+
 @pytest.fixture(scope="module")
 def constant_two():
     return PeriodicSignal.from_samples(np.full(64, 2.0))
@@ -73,6 +88,18 @@ class TestSolveAppopt:
         env, _ = solve_appopt(minus_one, L=0, n=8)
         assert env.b0 == pytest.approx(0.0, abs=1e-12)
         assert env.energy() == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-8, 1e5, 1e8])
+    @pytest.mark.parametrize("family", sorted(SCALE_FAMILIES))
+    def test_scaled_signal_scales_params(self, family, scale):
+        samples, L, n = SCALE_FAMILIES[family]
+        unit, _ = solve_appopt(PeriodicSignal.from_samples(samples), L=L, n=n)
+        env, sol = solve_appopt(PeriodicSignal.from_samples(samples * scale), L=L, n=n)
+        assert sol.converged
+        assert sol.iterations <= 1
+        expected = scale * unit.params()
+        err = np.max(np.abs(env.params() - expected))
+        assert err <= 1e-12 * np.max(np.abs(expected))
 
     def test_feasible_at_constraint_phases(self, star_signal):
         env, _ = solve_appopt(star_signal, L=2, n=32)
@@ -143,6 +170,17 @@ class TestCertify:
         # but never below the uniform lower bound
         c_prime = env.derivative_bound()
         assert margin >= -(star_signal.lipschitz_c + c_prime) / 8 - 1e-9
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-8])
+    def test_dip_judged_relative_to_signal(self, scale):
+        sig = PeriodicSignal.from_samples(np.full(64, 2.0 * scale))
+        res = approximate(sig, L=1, n=64)
+        assert res.certified
+        params = res.subopt.params()
+        params[0] -= 0.05 * scale
+        certified, margin = certify(FourierEnvelope.from_params(1, params), sig)
+        assert not certified
+        assert margin == pytest.approx(-0.05 * scale, rel=1e-6)
 
     def test_grid_floor(self, constant_two):
         env = FourierEnvelope(L=0, b0=2.0, b_re=[], b_im=[])
