@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from . import solver
 from .contour import Contour, radial_parametrize, read_polygon_csv
 from .errors import EnvelopeError
 from .fourier import FourierEnvelope
-from .signals import PeriodicSignal, read_signal_csv, write_signal_csv
+from .signals import PeriodicSignal, format_float, read_signal_csv, write_signal_csv
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -38,14 +37,6 @@ SWEEP_COLUMNS = (
     "certified",
     "min_margin",
 )
-
-
-def format_float(x: float) -> str:
-    """Fixed 17-significant-digit rendering used in all emitted files."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite value {x!r}")
-    return format(x, ".17g")
 
 
 def dumps(value, indent: int = 0) -> str:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegeneratePolygon, NoIntersection, NonpositiveRadius
 from .fourier import FourierEnvelope
-from .signals import PeriodicSignal
+from .signals import PeriodicSignal, format_float
 
 _AREA_EPS = 1e-12
 _RAY_EPS = 1e-12
@@ -176,7 +176,5 @@ def read_polygon_csv(path) -> np.ndarray:
 
 def write_polygon_csv(path, points) -> None:
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    lines = [
-        f"{format(float(x), '.17g')},{format(float(y), '.17g')}" for x, y in pts
-    ]
+    lines = [f"{format_float(x)},{format_float(y)}" for x, y in pts]
     Path(path).write_text("\n".join(lines) + "\n")

@@ -17,13 +17,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetTooLarge
+from .errors import BudgetTooLarge, TooFewConstraints
 
 TWO_PI = 2.0 * np.pi
 
 # Direct per-harmonic cos/sin evaluation stays accurate for small degrees;
 # recurrences are not worth the error near active constraints.
 MAX_HARMONICS = 64
+
+MAX_CONSTRAINTS = 10 ** 6
+
+
+def check_run(L: int, n: int | None = None, grid_m: int | None = None) -> None:
+    """Validate a harmonic budget, constraint count and certification grid.
+
+    ``L`` must lie in ``[0, MAX_HARMONICS]``; ``n`` (when given) in
+    ``[2L+1, MAX_CONSTRAINTS]``, because with fewer than ``2L+1`` rows the
+    polynomial between grid points is uncontrolled; ``grid_m`` (when given)
+    must be at least 16.
+    """
+    if L < 0:
+        raise ValueError(f"harmonic budget must be nonnegative, got {L}")
+    if L > MAX_HARMONICS:
+        raise BudgetTooLarge(f"harmonic budget {L} exceeds maximum {MAX_HARMONICS}")
+    if n is not None:
+        if n < 2 * L + 1:
+            raise TooFewConstraints(f"need n >= 2L+1 = {2 * L + 1}, got n={n}")
+        if n > MAX_CONSTRAINTS:
+            raise ValueError(f"n={n} exceeds the supported maximum {MAX_CONSTRAINTS}")
+    if grid_m is not None and grid_m < 16:
+        raise ValueError(f"certification grid must have >= 16 points, got {grid_m}")
+
+
+def _phases(L: int, t: np.ndarray) -> np.ndarray:
+    """Phases ``2*pi*k*t`` for ``k = 1..L``, shape ``t.shape + (L,)``.  Callers
+    take cos and sin one at a time, so at most one such temporary is alive."""
+    return TWO_PI * np.multiply.outer(t, np.arange(1, L + 1, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,10 +77,7 @@ class FourierEnvelope:
 
     def __post_init__(self):
         L = int(self.L)
-        if L < 0:
-            raise ValueError(f"harmonic budget must be nonnegative, got {L}")
-        if L > MAX_HARMONICS:
-            raise BudgetTooLarge(f"harmonic budget {L} exceeds maximum {MAX_HARMONICS}")
+        check_run(L)
         b_re = np.array(self.b_re, dtype=float).reshape(-1)
         b_im = np.array(self.b_im, dtype=float).reshape(-1)
         if b_re.shape != (L,) or b_im.shape != (L,):
@@ -83,14 +109,9 @@ class FourierEnvelope:
     def evaluate(self, t):
         """Value of the polynomial at phase ``t`` (scalar or array, period 1)."""
         t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        if self.L == 0:
-            out = np.full(t_arr.shape, self.b0)
-        else:
-            k = np.arange(1, self.L + 1, dtype=float)
-            ang = TWO_PI * np.multiply.outer(t_arr, k)
-            out = self.b0 + 2.0 * (np.cos(ang) @ self.b_re - np.sin(ang) @ self.b_im)
-        return float(out) if scalar else out
+        ang = _phases(self.L, t_arr)
+        out = self.b0 + 2.0 * (np.cos(ang) @ self.b_re - np.sin(ang) @ self.b_im)
+        return float(out) if t_arr.ndim == 0 else out
 
     def energy(self) -> float:
         """Sum of squared complex coefficients, equal to the mean-square value
@@ -103,8 +124,6 @@ class FourierEnvelope:
         Equals ``2*pi * sum_k 2*k*|b[k]|`` and is tight when a single harmonic
         dominates.  Always at most the a-priori bound at equal energy.
         """
-        if self.L == 0:
-            return 0.0
         k = np.arange(1, self.L + 1, dtype=float)
         return float(2.0 * TWO_PI * np.sum(k * np.hypot(self.b_re, self.b_im)))
 
@@ -136,28 +155,20 @@ def phasor_row(L: int, t: float) -> np.ndarray:
     Layout matches the canonical parameter vector:
     ``[1, 2cos(2*pi*t), ..., 2cos(2*pi*L*t), -2sin(2*pi*t), ..., -2sin(2*pi*L*t)]``.
     """
-    if L < 0:
-        raise ValueError(f"harmonic budget must be nonnegative, got {L}")
-    row = np.empty(2 * L + 1)
-    row[0] = 1.0
-    if L > 0:
-        ang = TWO_PI * float(t) * np.arange(1, L + 1, dtype=float)
-        row[1 : L + 1] = 2.0 * np.cos(ang)
-        row[L + 1 :] = -2.0 * np.sin(ang)
-    return row
+    return phasor_matrix(L, [t])[0]
 
 
 def phasor_matrix(L: int, t: np.ndarray) -> np.ndarray:
     """Stack of :func:`phasor_row` values for an array of phases, one per row."""
-    if L < 0:
-        raise ValueError(f"harmonic budget must be nonnegative, got {L}")
+    check_run(L)
     t = np.asarray(t, dtype=float).reshape(-1)
     rows = np.empty((t.shape[0], 2 * L + 1))
     rows[:, 0] = 1.0
-    if L > 0:
-        ang = TWO_PI * np.multiply.outer(t, np.arange(1, L + 1, dtype=float))
-        rows[:, 1 : L + 1] = 2.0 * np.cos(ang)
-        rows[:, L + 1 :] = -2.0 * np.sin(ang)
+    ang = _phases(L, t)
+    cos_part = np.cos(ang, out=rows[:, 1 : L + 1])
+    cos_part *= 2.0
+    sin_part = np.sin(ang, out=rows[:, L + 1 :])
+    sin_part *= -2.0
     return rows
 
 
@@ -169,8 +180,7 @@ def apriori_derivative_bound(L: int, sup_norm: float) -> float:
     ``sup_norm`` (the constant envelope at that height is always feasible).
     The ``sqrt(2L+1)`` factor comes from Cauchy-Schwarz on the coefficient sum.
     """
-    if L < 0:
-        raise ValueError(f"harmonic budget must be nonnegative, got {L}")
+    check_run(L)
     if sup_norm < 0:
         raise ValueError(f"sup_norm must be nonnegative, got {sup_norm}")
     return float(TWO_PI * L * np.sqrt(2.0 * L + 1.0) * sup_norm)

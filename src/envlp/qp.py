@@ -23,6 +23,10 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotConverged
 
+# Contract tolerances for feasibility and stationarity, relative to ``max|g|``.
+TOL_FEAS = 1e-9
+TOL_STAT = 1e-8
+
 # Convergence targets a fraction of the contract tolerances so downstream
 # checks (certification at -1e-9 relative, nested-cost comparisons at 1e-8)
 # keep slack.
@@ -33,7 +37,10 @@ _RANK_CUT = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class QpProblem:
-    """Problem data: diagonal ``q_diag`` of Q, constraint rows, right-hand sides."""
+    """Problem data: diagonal ``q_diag`` of Q, constraint rows, right-hand sides.
+
+    Stored read-only; a read-only float ``a_rows`` is kept without a copy, and
+    a writeable one is copied, never frozen or aliased."""
 
     q_diag: np.ndarray
     a_rows: np.ndarray
@@ -41,9 +48,11 @@ class QpProblem:
 
     def __post_init__(self):
         q = np.array(self.q_diag, dtype=float).reshape(-1)
-        a = np.array(self.a_rows, dtype=float)
+        a = np.asarray(self.a_rows, dtype=float)
         if a.ndim != 2:
             a = a.reshape(-1, q.shape[0]) if a.size else a.reshape(0, q.shape[0])
+        if a.flags.writeable:
+            a = a.copy()
         g = np.array(self.g, dtype=float).reshape(-1)
         if np.any(q <= 0):
             raise ValueError("all q_diag entries must be positive")
@@ -200,18 +209,14 @@ def _active_set(a, g, q, feas_target):
     return x, multipliers(), f"no feasible point after {30 * (d + 1) + 100} rows added"
 
 
-def solve(
-    problem: QpProblem,
-    tol_feas: float = 1e-9,
-    tol_stat: float = 1e-8,
-    initial_lam: np.ndarray | None = None,
-) -> QpSolution:
+def solve(problem: QpProblem, initial_lam: np.ndarray | None = None) -> QpSolution:
     """Minimize ``x^T Q x`` over ``A x >= g`` by one dual active-set pass.
 
-    ``tol_feas`` and ``tol_stat`` are relative to ``s = max|g|`` (``s = 1``
-    when ``g`` is zero): the returned solution has primal violation at most
-    ``0.1 * tol_feas * s``, stationarity at most ``0.5 * tol_stat * s`` and
-    summed complementarity at most ``0.1 * tol_stat * (s**2 + x^T Q x)``.
+    The tolerances are fixed at ``TOL_FEAS`` and ``TOL_STAT``, relative to
+    ``s = max|g|`` (``s = 1`` when ``g`` is zero): the returned solution has
+    primal violation at most ``0.1 * TOL_FEAS * s``, stationarity at most
+    ``0.5 * TOL_STAT * s`` and summed complementarity at most
+    ``0.1 * TOL_STAT * (s**2 + x^T Q x)``.
 
     A warm start ``initial_lam`` (clipped to be nonnegative; zero when
     omitted) is checked first through ``x = A^T lam / (2Q)``.  If it already
@@ -237,9 +242,9 @@ def solve(
         lam = np.maximum(lam, 0.0)
 
     s = float(np.max(np.abs(g), initial=0.0)) or 1.0
-    feas_target = _SAFETY * tol_feas
-    comp_factor = _SAFETY * tol_stat
-    stat_target = 0.5 * tol_stat
+    feas_target = _SAFETY * TOL_FEAS
+    comp_factor = _SAFETY * TOL_STAT
+    stat_target = 0.5 * TOL_STAT
 
     def _pack(x, lam_out, iterations):
         primal, dual, comp, stat = _residuals(problem, x, lam_out)

@@ -9,6 +9,7 @@ signal require a user-supplied slope bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +27,14 @@ _SLOPE_SLACK = 1e-9
 
 USER_SUPPLIED = "user_supplied"
 ESTIMATED = "estimated"
+
+
+def format_float(x: float) -> str:
+    """Fixed 17-significant-digit rendering used in all emitted files."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"cannot serialize non-finite value {x!r}")
+    return format(x, ".17g")
 
 
 def observed_slope(values: np.ndarray) -> float:
@@ -136,5 +145,5 @@ def read_signal_csv(path) -> np.ndarray:
 
 def write_signal_csv(path, values) -> None:
     """Write one sample per line with round-trip float formatting."""
-    lines = [format(float(v), ".17g") for v in np.asarray(values, dtype=float)]
+    lines = [format_float(v) for v in np.asarray(values, dtype=float)]
     Path(path).write_text("\n".join(lines) + "\n")

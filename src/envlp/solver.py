@@ -16,16 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qp
-from .errors import BudgetTooLarge, TooFewConstraints
-from .fourier import (
-    MAX_HARMONICS,
+from .fourier import (  # MAX_CONSTRAINTS stays importable from here
+    MAX_CONSTRAINTS,
     FourierEnvelope,
     apriori_derivative_bound,
+    check_run,
     phasor_matrix,
 )
 from .signals import PeriodicSignal
-
-MAX_CONSTRAINTS = 10 ** 6
 
 CERTIFY_TOL = 1e-9  # relative to the signal's largest absolute sample
 DEFAULT_CERTIFY_GRID = 8192
@@ -85,27 +83,6 @@ class EnvelopeResult:
         }
 
 
-def check_run(L: int, n: int | None = None, grid_m: int | None = None) -> None:
-    """Validate a harmonic budget, constraint count and certification grid.
-
-    ``L`` must lie in ``[0, MAX_HARMONICS]``; ``n`` (when given) in
-    ``[2L+1, MAX_CONSTRAINTS]``, because with fewer than ``2L+1`` rows the
-    polynomial between grid points is uncontrolled; ``grid_m`` (when given)
-    must be at least 16.
-    """
-    if L < 0:
-        raise ValueError(f"harmonic budget must be nonnegative, got {L}")
-    if L > MAX_HARMONICS:
-        raise BudgetTooLarge(f"harmonic budget {L} exceeds maximum {MAX_HARMONICS}")
-    if n is not None:
-        if n < 2 * L + 1:
-            raise TooFewConstraints(f"need n >= 2L+1 = {2 * L + 1}, got n={n}")
-        if n > MAX_CONSTRAINTS:
-            raise ValueError(f"n={n} exceeds the supported maximum {MAX_CONSTRAINTS}")
-    if grid_m is not None and grid_m < 16:
-        raise ValueError(f"certification grid must have >= 16 points, got {grid_m}")
-
-
 def build_constraints(sig: PeriodicSignal, L: int, n: int) -> qp.QpProblem:
     """Assemble the ``n``-point constraint system for harmonic budget ``L``."""
     L = int(L)
@@ -113,6 +90,7 @@ def build_constraints(sig: PeriodicSignal, L: int, n: int) -> qp.QpProblem:
     check_run(L, n)
     t = np.arange(n) / n
     rows = phasor_matrix(L, t)
+    rows.setflags(write=False)
     g = sig.value_at(t)
     q_diag = np.full(2 * L + 1, 2.0)
     q_diag[0] = 1.0
@@ -135,15 +113,20 @@ def solve_appopt(
     return FourierEnvelope.from_params(L, solution.x), solution
 
 
-def lift_to_envelope(
-    appopt: FourierEnvelope, c: float, c_prime: float, n: int
-) -> FourierEnvelope:
-    """Add ``(c + c')/n`` to the DC coefficient; harmonics are untouched."""
+def _lift_delta(c: float, c_prime: float, n: int) -> float:
+    """The DC lift ``(c + c')/n`` after checking ``c, c' >= 0`` and ``n >= 1``."""
     if c < 0 or c_prime < 0:
         raise ValueError("slope bounds must be nonnegative")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    delta = (c + c_prime) / n
+    return (c + c_prime) / n
+
+
+def lift_to_envelope(
+    appopt: FourierEnvelope, c: float, c_prime: float, n: int
+) -> FourierEnvelope:
+    """Add ``(c + c')/n`` to the DC coefficient; harmonics are untouched."""
+    delta = _lift_delta(c, c_prime, n)
     return FourierEnvelope(
         L=appopt.L, b0=appopt.b0 + delta, b_re=appopt.b_re, b_im=appopt.b_im
     )
@@ -157,9 +140,7 @@ def gap_bound(appopt: FourierEnvelope, c: float, c_prime: float, n: int) -> floa
     is never negative (it equals half the multiplier sum), so the bound is
     nonnegative as well.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    delta = (c + c_prime) / n
+    delta = _lift_delta(c, c_prime, n)
     return float(2.0 * appopt.b0 * delta + delta * delta)
 
 

@@ -22,6 +22,16 @@ def star_points(tips=STAR_TIPS, r_outer=STAR_OUTER, r_inner=STAR_INNER):
     return np.asarray(pts)
 
 
+def vertex_margins(envelope, contour):
+    """Radial margin of ``envelope`` over each contour vertex, in the units of
+    the radii, with angles taken from the contour centroid."""
+    offsets = contour.points - np.asarray(contour.centroid)
+    theta = np.arctan2(offsets[:, 1], offsets[:, 0])
+    radii = np.hypot(offsets[:, 0], offsets[:, 1])
+    margins = envelope.evaluate((theta + np.pi) / (2.0 * np.pi)) - radii
+    return margins, float(np.max(radii))
+
+
 def smooth_signal(seed, m=512, base=1.5, harmonics=3):
     """Random positive smooth test signal: DC plus a few decaying harmonics."""
     rng = np.random.default_rng(seed)

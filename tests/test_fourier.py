@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from envlp import FourierEnvelope, apriori_derivative_bound, phasor_matrix, phasor_row
 from envlp.errors import BudgetTooLarge
+from envlp.fourier import check_run
 
 
 def random_envelope(rng, max_L=8):
@@ -75,9 +78,15 @@ class TestPhasorRow:
 
     def test_matrix_stacks_rows(self):
         t = np.array([0.0, 0.2, 0.77])
-        np.testing.assert_allclose(
-            phasor_matrix(3, t), np.vstack([phasor_row(3, v) for v in t]), atol=1e-14
-        )
+        expected = [
+            [1.0]
+            + [2.0 * math.cos(2.0 * math.pi * k * v) for k in (1, 2, 3)]
+            + [-2.0 * math.sin(2.0 * math.pi * k * v) for k in (1, 2, 3)]
+            for v in t
+        ]
+        np.testing.assert_allclose(phasor_matrix(3, t), expected, atol=1e-14)
+        for v, row in zip(t, expected):
+            np.testing.assert_allclose(phasor_row(3, v), row, atol=1e-14)
 
 
 class TestDerivativeBound:
@@ -129,7 +138,24 @@ class TestAprioriBound:
             apriori_derivative_bound(1, -0.5)
 
 
+_BUDGET_CHECKS = {
+    "FourierEnvelope": lambda L: FourierEnvelope(
+        L=L, b0=0.0, b_re=np.zeros(max(L, 0)), b_im=np.zeros(max(L, 0))
+    ),
+    "phasor_row": lambda L: phasor_row(L, 0.25),
+    "phasor_matrix": lambda L: phasor_matrix(L, [0.0, 0.5]),
+    "apriori_derivative_bound": lambda L: apriori_derivative_bound(L, 1.0),
+    "check_run": check_run,
+}
+
+
 class TestValidation:
+    @pytest.mark.parametrize("L, error", [(-1, ValueError), (65, BudgetTooLarge)])
+    @pytest.mark.parametrize("name", sorted(_BUDGET_CHECKS))
+    def test_budget_range(self, name, L, error):
+        with pytest.raises(error):
+            _BUDGET_CHECKS[name](L)
+
     def test_budget_cap(self):
         with pytest.raises(BudgetTooLarge):
             FourierEnvelope(L=65, b0=0.0, b_re=np.zeros(65), b_im=np.zeros(65))

@@ -193,6 +193,15 @@ class TestFailureModes:
         with pytest.raises(DimensionMismatch):
             solve(p, initial_lam=np.zeros(3))
 
+    def test_rows_copied_only_when_writeable(self):
+        rows = np.array([[1.0, 0.0], [0.0, 1.0]])
+        problem = QpProblem(q_diag=[1.0, 1.0], a_rows=rows, g=[0.0, 0.0])
+        assert problem.a_rows is not rows and not np.shares_memory(problem.a_rows, rows)
+        assert rows.flags.writeable and not problem.a_rows.flags.writeable
+        rows.setflags(write=False)
+        problem = QpProblem(q_diag=[1.0, 1.0], a_rows=rows, g=[0.0, 0.0])
+        assert problem.a_rows is rows
+
     def test_problem_shape_validation(self):
         with pytest.raises(DimensionMismatch):
             QpProblem(q_diag=[1.0, 2.0], a_rows=[[1.0]], g=[0.0])

@@ -126,10 +126,12 @@ class TestLift:
         d2 = lift_to_envelope(appopt, 3.0, 2.0, 100).b0 - 1.0
         assert d1 == pytest.approx(10 * d2, rel=1e-12)
 
-    def test_rejects_negative_bounds(self):
+    @pytest.mark.parametrize("func", [lift_to_envelope, gap_bound], ids=lambda f: f.__name__)
+    def test_rejects_negative_bounds(self, func):
         appopt = FourierEnvelope(L=0, b0=1.0, b_re=[], b_im=[])
-        with pytest.raises(ValueError):
-            lift_to_envelope(appopt, -1.0, 0.0, 10)
+        for c, c_prime, n in ((-1.0, 0.0, 10), (0.0, -5.0, 64), (1.0, 1.0, 0)):
+            with pytest.raises(ValueError):
+                func(appopt, c, c_prime, n)
 
 
 class TestGapBound:
