@@ -3,10 +3,13 @@
 Solves ``min x^T Q x  subject to  A x >= g`` with ``Q`` diagonal and positive
 definite by one dual active-set pass in the style of Goldfarb and Idnani
 (Math. Programming 27, 1983): starting from the unconstrained minimum
-``x = 0`` it repeatedly adds the worst violated row, with a full step that
-makes the row tight or a partial step (ratio test on the working-set
-multipliers) that drops a blocking row first.  Because Q is diagonal, every
-direction comes from a small dense solve on the working set.
+``x = 0``, or from the active rows of a warm start, it repeatedly adds the
+worst violated row, with a full step that makes the row tight or a partial
+step (ratio test on the working-set multipliers) that drops a blocking row
+first.  With ``G = (2Q)^-1`` diagonal, each direction needs the inverse of
+the small working-set matrix ``N G N^T``; it is kept and updated in place on
+every add and drop (Gill, Golub, Murray and Saunders, Math. Comp. 28, 1974)
+instead of being re-solved.
 
 The problem is homogeneous in ``g``: ``(x, lam)`` solves it exactly when
 ``(x / s, lam / s)`` solves it with ``g / s``.  The pass therefore runs on
@@ -89,6 +92,8 @@ class QpSolution:
 
     ``converged`` is True only when feasibility, complementarity and
     stationarity were all verified below tolerance on a fresh recomputation.
+    ``adds`` and ``drops`` count the active-set pass's working-set steps, and
+    ``warm_rows`` the rows it took from the warm start (all 0 without a pass).
     """
 
     x: np.ndarray
@@ -99,19 +104,24 @@ class QpSolution:
     dual_violation: float
     complementarity: float
     stationarity: float
+    adds: int = 0
+    drops: int = 0
+    warm_rows: int = 0
 
 
 def _residuals(problem: QpProblem, x: np.ndarray, lam: np.ndarray):
+    """The four KKT residuals, then the summed complementarity."""
     slack = problem.a_rows @ x - problem.g
     primal = float(max(0.0, -np.min(slack, initial=0.0)))
     dual = float(max(0.0, -np.min(lam, initial=0.0)))
-    comp = float(np.max(np.abs(lam * slack), initial=0.0))
+    comp_terms = np.abs(lam * slack)
+    comp = float(np.max(comp_terms, initial=0.0))
     stat = float(
         np.max(
             np.abs(2.0 * problem.q_diag * x - problem.a_rows.T @ lam), initial=0.0
         )
     )
-    return primal, dual, comp, stat
+    return primal, dual, comp, stat, float(np.sum(comp_terms))
 
 
 def kkt_residuals(problem: QpProblem, solution: QpSolution):
@@ -129,84 +139,122 @@ def kkt_residuals(problem: QpProblem, solution: QpSolution):
         raise DimensionMismatch(
             f"lambda has length {lam.shape[0]}, expected {problem.n}"
         )
-    return _residuals(problem, x, lam)
+    return _residuals(problem, x, lam)[:4]
 
 
-def _active_set(a, g, q, feas_target):
-    """One dual active-set pass on ``A x >= g``; returns ``(x, lam, failure)``.
+def _seed(a, g, ginv, support):
+    """``(N, N G, H, mu)`` on the rows ``support``, or None.
 
-    ``failure`` is None once every row holds to ``feas_target``; otherwise it
-    says why the pass stopped, and ``(x, lam)`` is its last iterate.  The
-    working set stays linearly independent, so every direction comes from a
-    small positive-definite solve, and both loops are capped.
+    ``H`` inverts ``N G N^T`` and ``mu = H g_W``, so ``x = G N^T mu`` makes
+    every row of ``support`` tight.  None unless there are at most ``d`` rows,
+    each passes the add step's independence test, and ``mu >= 0``.
+    """
+    if not 0 < support.size <= a.shape[1]:
+        return None
+    rows = a[support]
+    grows = rows * ginv
+    m = grows @ rows.T
+    try:
+        chol = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return None
+    if np.any(np.diag(chol) ** 2 <= _RANK_CUT * np.maximum(np.diag(m), 1.0)):
+        return None
+    cinv = np.linalg.inv(chol)
+    h = cinv.T @ cinv
+    mu = h @ g[support]
+    mu += h @ (g[support] - m @ mu)
+    return (rows, grows, h, mu) if np.all(mu >= 0.0) else None
+
+
+def _active_set(a, g, q, feas_target, support):
+    """One dual active-set pass on ``A x >= g``.
+
+    Returns ``(x, lam, failure, adds, drops, warm_rows)``.  ``failure`` is
+    None once every row holds to ``feas_target``; otherwise it says why the
+    pass stopped, and ``(x, lam)`` is its last iterate.  The pass starts from
+    the ``warm_rows`` rows of ``support`` if :func:`_seed` accepts them.
+
+    The working set stays linearly independent, so it has at most ``d`` rows.
+    Its rows ``N``, ``N G`` and the inverse ``H`` of ``N G N^T`` fill the
+    first ``k`` slots of zero-padded buffers.  An add borders ``H`` with the
+    new row's Schur complement; a drop downdates it and moves the last slot
+    into the freed one.  Each direction takes one refinement step
+    ``r += H (N z)``.  Both loops are capped.
     """
     n, d = a.shape
     ginv = 0.5 / q
+    rows, grows = np.zeros((d, d)), np.zeros((d, d))
+    h, rank1 = np.zeros((d, d)), np.empty((d, d))
+    lam_w, idx = np.zeros(d), np.zeros(d, dtype=np.intp)
     x = np.zeros(d)
-    active: list[int] = []
-    lam_active: list[float] = []
+    seed = _seed(a, g, ginv, support)
+    k = warm_rows = 0 if seed is None else support.size
+    if seed is not None:
+        rows[:k], grows[:k], h[:k, :k], lam_w[:k] = seed
+        idx[:k] = support
+        x = grows.T @ lam_w
+    adds = drops = 0
 
-    def multipliers():
+    def result(failure):
         lam = np.zeros(n)
-        for idx, value in zip(active, lam_active):
-            lam[idx] += max(value, 0.0)
-        return lam
+        lam[idx[:k]] = np.maximum(lam_w[:k], 0.0)
+        return x, lam, failure, adds, drops, warm_rows
 
     for _outer in range(30 * (d + 1) + 100):
         slack = a @ x - g
         p = int(np.argmin(slack))
         if slack[p] >= -0.5 * feas_target:
-            return x, multipliers(), None
+            return result(None)
         row_p = a[p]
-        scale_p = float(row_p @ (ginv * row_p))
+        v = ginv * row_p
+        cut = _RANK_CUT * max(float(row_p @ v), 1.0)
         lam_p = 0.0
         for _inner in range(3 * d + 20):
-            if active:
-                nw = a[active]
-                k_mat = (nw * ginv) @ nw.T
-                rhs = nw @ (ginv * row_p)
-                try:
-                    r = np.linalg.solve(k_mat, rhs)
-                except np.linalg.LinAlgError:
-                    r = np.linalg.lstsq(k_mat, rhs, rcond=None)[0]
-                z = ginv * (row_p - nw.T @ r)
-            else:
-                r = np.zeros(0)
-                z = ginv * row_p
-            viol = float(g[p] - row_p @ x)
-            if viol <= 0.25 * feas_target:
-                # The drop steps alone satisfied row p; its multiplier stays.
-                if lam_p > 0.0:
-                    active.append(p)
-                    lam_active.append(lam_p)
-                break
+            r = h @ (rows @ v)
+            z = v - grows.T @ r
+            r += h @ (rows @ z)
+            z = v - grows.T @ r
             denom = float(row_p @ z)
-            t_full = viol / denom if denom > _RANK_CUT * max(scale_p, 1.0) else np.inf
-            t_drop = np.inf
-            blocker = -1
-            for k in range(len(active)):
-                if r[k] > _RANK_CUT:
-                    bound = lam_active[k] / r[k]
-                    if bound < t_drop:
-                        t_drop, blocker = bound, k
-            step = min(t_full, t_drop)
-            if not np.isfinite(step):
-                failure = f"constraints are infeasible: row {p} cannot be satisfied"
-                return x, multipliers(), failure
-            x = x + step * z
-            lam_p += step
-            for k in range(len(active)):
-                lam_active[k] -= step * r[k]
-            if t_drop < t_full:
-                active.pop(blocker)
-                lam_active.pop(blocker)
-                continue
-            active.append(p)
-            lam_active.append(lam_p)
+            viol = float(g[p] - row_p @ x)
+            # Satisfied by the drop steps alone, row p joins with no step.
+            if viol > 0.25 * feas_target:
+                t_full = viol / denom if denom > cut and k < d else np.inf
+                ratios = np.full(d, np.inf)
+                np.divide(lam_w, r, out=ratios, where=r > _RANK_CUT)
+                j = int(np.argmin(ratios))
+                step = min(t_full, float(ratios[j]))
+                if step == np.inf:
+                    failure = f"constraints are infeasible: row {p} cannot be satisfied"
+                    return result(failure)
+                x += step * z
+                lam_p += step
+                lam_w -= step * r
+                if step < t_full:
+                    # Drop slot j: downdate H, then move the last slot into j.
+                    col = h[:, j].copy()
+                    h -= np.multiply.outer(col, col / col[j], out=rank1)
+                    k -= 1
+                    h[j], rows[j], grows[j] = h[k], rows[k], grows[k]
+                    h[:, j] = h[:, k]
+                    lam_w[j], idx[j] = lam_w[k], idx[k]
+                    h[k] = h[:, k] = rows[k] = grows[k] = lam_w[k] = 0.0
+                    drops += 1
+                    continue
+            if denom <= cut:
+                return result(f"row {p} is dependent on the working set")
+            # Add row p: border H with its Schur complement ``denom``.
+            u = r / denom
+            h += np.multiply.outer(u, r, out=rank1)
+            h[k] = h[:, k] = -u
+            h[k, k] = 1.0 / denom
+            rows[k], grows[k], lam_w[k], idx[k] = row_p, v, lam_p, p
+            k += 1
+            adds += 1
             break
         else:
-            return x, multipliers(), f"row {p} still violated after {3 * d + 20} drops"
-    return x, multipliers(), f"no feasible point after {30 * (d + 1) + 100} rows added"
+            return result(f"row {p} still violated after {3 * d + 20} drops")
+    return result(f"no feasible point after {30 * (d + 1) + 100} rows added")
 
 
 def solve(problem: QpProblem, initial_lam: np.ndarray | None = None) -> QpSolution:
@@ -221,7 +269,9 @@ def solve(problem: QpProblem, initial_lam: np.ndarray | None = None) -> QpSoluti
     A warm start ``initial_lam`` (clipped to be nonnegative; zero when
     omitted) is checked first through ``x = A^T lam / (2Q)``.  If it already
     meets the tolerances it is returned with ``iterations == 0``; otherwise
-    the active-set pass runs and ``iterations == 1``.
+    the active-set pass runs and ``iterations == 1``, starting from the rows
+    where ``initial_lam`` is positive if they are independent and their
+    re-solved equality multipliers are nonnegative, else from ``x = 0``.
 
     Raises :class:`NotConverged` with the pass's last iterate attached when
     the constraints are infeasible or the result fails KKT verification.
@@ -246,30 +296,24 @@ def solve(problem: QpProblem, initial_lam: np.ndarray | None = None) -> QpSoluti
     comp_factor = _SAFETY * TOL_STAT
     stat_target = 0.5 * TOL_STAT
 
-    def _pack(x, lam_out, iterations):
-        primal, dual, comp, stat = _residuals(problem, x, lam_out)
-        comp_sum = float(np.sum(np.abs(lam_out * (a @ x - g))))
+    def _pack(x, lam_out, iterations, *counts):
+        primal, dual, comp, stat, comp_sum = _residuals(problem, x, lam_out)
         converged = (
             primal <= feas_target * s
             and comp_sum <= comp_factor * (s * s + problem.objective(x))
             and stat <= stat_target * s
         )
         return QpSolution(
-            x=x,
-            lam=lam_out,
-            iterations=iterations,
-            converged=converged,
-            primal_violation=primal,
-            dual_violation=dual,
-            complementarity=comp,
-            stationarity=stat,
+            x, lam_out, iterations, converged, primal, dual, comp, stat, *counts
         )
 
     warm = _pack((a.T @ lam) / (2.0 * q), lam, 0)
     if warm.converged:
         return warm
-    x, lam, failure = _active_set(a, g / s, q, feas_target)
-    solution = _pack(s * x, s * lam, 1)
+    x, lam, failure, *counts = _active_set(
+        a, g / s, q, feas_target, np.flatnonzero(lam)
+    )
+    solution = _pack(s * x, s * lam, 1, *counts)
     if solution.converged:
         return solution
     raise NotConverged(

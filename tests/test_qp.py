@@ -3,8 +3,17 @@ import time
 import numpy as np
 import pytest
 
-from envlp import QpProblem, QpSolution, kkt_residuals, solve
+from envlp import (
+    PeriodicSignal,
+    QpProblem,
+    QpSolution,
+    build_constraints,
+    kkt_residuals,
+    phasor_matrix,
+    solve,
+)
 from envlp.errors import DimensionMismatch, NotConverged
+from envlp.qp import TOL_FEAS, TOL_STAT
 
 
 def random_feasible_problem(rng, n=30, d=4, with_ref=False):
@@ -15,6 +24,19 @@ def random_feasible_problem(rng, n=30, d=4, with_ref=False):
     q = rng.uniform(0.5, 3.0, size=d)
     problem = QpProblem(q_diag=q, a_rows=a, g=g)
     return (problem, x_ref) if with_ref else problem
+
+
+def rel_diff(x, ref):
+    return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
+
+
+def nested_warm_start(sig, L, n):
+    """The ``2n`` problem and the ``n`` solution's multipliers mapped onto it,
+    as a nested sweep does (grid ``i/n`` is the even rows of ``i/2n``)."""
+    coarse = solve(build_constraints(sig, L, n))
+    lam = np.zeros(2 * n)
+    lam[::2] = coarse.lam
+    return build_constraints(sig, L, 2 * n), lam
 
 
 class TestSolveExamples:
@@ -174,6 +196,133 @@ class TestInvariances:
         warm = solve(p, initial_lam=cold.lam)
         assert warm.converged
         assert np.max(np.abs(warm.x - cold.x)) <= 1e-9
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Names of the dense ``np.linalg`` solvers called during the test."""
+    calls = []
+    for name in ("solve", "inv", "lstsq", "cholesky"):
+
+        def counted(*args, _f=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+class TestWarmWorkingSet:
+    @pytest.mark.parametrize("case", ["star (16, 256)", "square (5, 128)"])
+    def test_nested_multipliers_seed_the_pass(self, case, star_signal):
+        if case.startswith("star"):
+            problem, lam = nested_warm_start(star_signal, 16, 256)
+        else:
+            wave = np.sign(np.sin(2.0 * np.pi * np.arange(2048) / 2048))
+            square = PeriodicSignal.from_samples(1.0 + 0.5 * wave)
+            problem, lam = nested_warm_start(square, 5, 128)
+        cold = solve(problem)
+        warm = solve(problem, initial_lam=lam)
+        assert cold.converged and warm.converged
+        assert warm.iterations == cold.iterations == 1
+        # Both passes end on the same working set, so they agree to rounding
+        # (the square case drifted by 6e-11 when the seed's multipliers
+        # skipped their refinement step).
+        assert rel_diff(warm.x, cold.x) <= 1e-12
+        assert cold.warm_rows == 0
+        assert warm.warm_rows == np.count_nonzero(lam)
+        assert warm.adds < cold.adds
+
+    def _falls_back_cold(self, problem, lam):
+        cold = solve(problem)
+        warm = solve(problem, initial_lam=lam)
+        assert warm.converged and warm.iterations == 1
+        assert warm.warm_rows == 0
+        assert (warm.adds, warm.drops) == (cold.adds, cold.drops)
+        assert rel_diff(warm.x, cold.x) <= 1e-9
+
+    def test_support_larger_than_dimension(self, star_signal, linalg_calls):
+        problem = build_constraints(star_signal, 4, 64)
+        self._falls_back_cold(problem, np.ones(problem.n))
+        assert linalg_calls == []  # refused before anything is factored
+
+    def test_support_of_duplicated_rows(self, star_signal):
+        base = build_constraints(star_signal, 8, 128)
+        support = np.flatnonzero(solve(base).lam)[:3]
+        problem = QpProblem(
+            q_diag=base.q_diag,
+            a_rows=np.vstack([base.a_rows, base.a_rows[support]]),
+            g=np.concatenate([base.g, base.g[support]]),
+        )
+        lam = np.zeros(problem.n)
+        lam[support] = lam[base.n :] = 1.0
+        self._falls_back_cold(problem, lam)
+
+    def test_support_of_nearly_dependent_rows(self):
+        # Three adjacent phases at L = 1 and n = 16384: the third row's Schur
+        # complement is ~5e-15 of its norm, below the add step's cut, yet the
+        # rows factor and their multipliers are positive.
+        n = 16384
+        a = phasor_matrix(1, np.arange(n) / n)
+        q = np.array([1.0, 2.0, 2.0])
+        support = np.array([100, 101, 102])
+        x_tight = (a[support].T @ np.ones(3)) / (2.0 * q)
+        g = a @ x_tight - 1.0
+        g[support] = a[support] @ x_tight
+        lam = np.zeros(n)
+        lam[support] = [1.0, 3.0, 1.0]
+        self._falls_back_cold(QpProblem(q_diag=q, a_rows=a, g=g), lam)
+
+    def test_support_with_negative_multiplier(self, star_signal):
+        problem = build_constraints(star_signal, 8, 128)
+        support = np.flatnonzero(solve(problem).lam)[:3]
+        support = np.append(support, np.argmin(problem.g))
+        rows = problem.a_rows[support]
+        m = (rows / (2.0 * problem.q_diag)) @ rows.T
+        assert np.min(np.linalg.solve(m, problem.g[support])) < 0.0
+        lam = np.zeros(problem.n)
+        lam[support] = 1.0
+        self._falls_back_cold(problem, lam)
+
+
+def five_point_star(depth, phase, m=2048):
+    """Radial function of a regular 5-point star seen from its centre."""
+    u = np.mod(np.arange(m) / m - phase, 1.0)
+    sector = 2.0 * np.pi / 5.0
+    wedge = np.abs(np.mod(2.0 * np.pi * u, sector) - sector / 2.0) / (sector / 2.0)
+    return PeriodicSignal.from_samples(1.0 / (1.0 + depth * (1.0 - wedge)))
+
+
+class TestWorkingSetFactor:
+    def test_cold_solve_makes_no_dense_solves(self, star_signal, linalg_calls):
+        assert solve(build_constraints(star_signal, 24, 1024)).converged
+        assert len(linalg_calls) <= 2
+
+    @pytest.mark.parametrize(
+        "case",
+        ["star contour (32, 2048)", "five-point star (64, 2048)"],
+    )
+    def test_long_pass_stays_accurate(self, case, star_signal):
+        # The second case failed KKT verification when directions skipped
+        # their refinement step.
+        if case.startswith("star contour"):
+            problem = build_constraints(star_signal, 32, 2048)
+        else:
+            sig = five_point_star(0.376978671376387, 0.6369616873214543)
+            problem = build_constraints(sig, 64, 2048)
+        sol = solve(problem)
+        # The working set ends full (star contour) or one row short of it.
+        assert np.count_nonzero(sol.lam) >= problem.d - 1
+        assert sol.adds >= 200 and sol.drops >= 200
+        s = float(np.max(np.abs(problem.g)))
+        primal, dual, comp, stat = kkt_residuals(problem, sol)
+        assert primal <= TOL_FEAS * s and dual == 0.0
+        assert comp <= TOL_STAT * s and stat <= TOL_STAT * s
+        perm = np.random.default_rng(3).permutation(problem.n)
+        permuted = QpProblem(
+            q_diag=problem.q_diag, a_rows=problem.a_rows[perm], g=problem.g[perm]
+        )
+        assert rel_diff(solve(permuted).x, sol.x) <= 1e-9
 
 
 class TestFailureModes:
