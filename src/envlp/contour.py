@@ -22,6 +22,8 @@ from .signals import PeriodicSignal, format_float
 
 _AREA_EPS = 1e-12
 _RAY_EPS = 1e-12
+# Elements per temporary array in the blocked crossing and ray kernels.
+_BLOCK = 1 << 15
 
 
 def _shoelace_area(points: np.ndarray) -> float:
@@ -47,19 +49,38 @@ def centroid(points) -> tuple[float, float]:
     return cx, cy
 
 
-def _segments_cross(p1, p2, p3, p4) -> bool:
-    """Proper crossing test for two segments sharing no endpoint."""
+def _straddles(o1: np.ndarray, o2: np.ndarray) -> np.ndarray:
+    """Where two orientations are both nonzero and of opposite sign."""
+    return ((o1 > 0) != (o2 > 0)) & (o1 != 0) & (o2 != 0)
 
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
-    d1 = orient(p3, p4, p1)
-    d2 = orient(p3, p4, p2)
-    d3 = orient(p1, p2, p3)
-    d4 = orient(p1, p2, p4)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and all(
-        d != 0 for d in (d1, d2, d3, d4)
-    )
+def _check_simple(pts: np.ndarray) -> None:
+    """Raise for the first pair ``i < j`` of non-adjacent edges that cross.
+
+    Edge ``i`` runs from vertex ``i`` to ``i + 1``; a pair crosses when each
+    edge strictly straddles the other.  Blocks of edges ``i`` are tested
+    against all edges ``j >= i + 2`` at once.
+    """
+    m = pts.shape[0]
+    x, y = pts[:, 0], pts[:, 1]
+    ex, ey = np.roll(x, -1) - x, np.roll(y, -1) - y
+    step = max(1, _BLOCK // m)
+    for i0 in range(0, m - 2, step):
+        i1 = min(i0 + step, m - 2)
+        i, j, v = slice(i0, i1), slice(i0 + 2, m), slice(i0, i1 + 1)
+        # Vertices i, i + 1 against edges j; vertices j, j + 1 against edges i.
+        oj = ex[j] * (y[v, None] - y[j]) - ey[j] * (x[v, None] - x[j])
+        xj, yj = np.append(x[j], x[0]), np.append(y[j], y[0])
+        oi = ex[i, None] * (yj - y[i, None]) - ey[i, None] * (xj - x[i, None])
+        cross = _straddles(oj[:-1], oj[1:]) & _straddles(oi[:, :-1], oi[:, 1:])
+        cross = np.triu(cross)  # column c is edge i0 + 2 + c: keep j >= i + 2
+        if i0 == 0:
+            cross[0, -1] = False  # edges 0 and m - 1 share vertex 0
+        if cross.any():
+            r, c = divmod(int(np.argmax(cross)), cross.shape[1])
+            raise DegeneratePolygon(
+                f"polygon edges {i0 + r} and {i0 + 2 + c} cross each other"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,40 +92,18 @@ class Contour:
 
     @classmethod
     def from_points(cls, points) -> "Contour":
+        """Validated contour: at least 3 finite vertices, nonzero area and no
+        two non-adjacent edges crossing, checked by a blocked array scan."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         if pts.shape[0] < 3:
             raise DegeneratePolygon(f"polygon needs >= 3 vertices, got {pts.shape[0]}")
         if not np.all(np.isfinite(pts)):
             raise DegeneratePolygon("polygon vertices must be finite")
         cx, cy = centroid(pts)
-        m = pts.shape[0]
-        # Pairwise edge-crossing scan; fine at desk scale.
-        for i in range(m):
-            a1, a2 = pts[i], pts[(i + 1) % m]
-            for j in range(i + 1, m):
-                if j == i or (j + 1) % m == i or (i + 1) % m == j:
-                    continue
-                if _segments_cross(a1, a2, pts[j], pts[(j + 1) % m]):
-                    raise DegeneratePolygon(
-                        f"polygon edges {i} and {j} cross each other"
-                    )
+        _check_simple(pts)
         frozen = pts.copy()
         frozen.setflags(write=False)
         return cls(points=frozen, centroid=(cx, cy))
-
-
-def _ray_distances(origin, direction, points) -> np.ndarray:
-    """All positive distances at which a ray meets the polygon boundary."""
-    p = points
-    q = np.roll(points, -1, axis=0)
-    e = q - p
-    w = p - origin
-    denom = direction[0] * e[:, 1] - direction[1] * e[:, 0]
-    ok = np.abs(denom) > _RAY_EPS
-    s = np.where(ok, (w[:, 0] * e[:, 1] - w[:, 1] * e[:, 0]) / np.where(ok, denom, 1.0), -1.0)
-    u = np.where(ok, (w[:, 0] * direction[1] - w[:, 1] * direction[0]) / np.where(ok, denom, 1.0), -1.0)
-    hit = ok & (s > _RAY_EPS) & (u >= -_RAY_EPS) & (u < 1.0 - _RAY_EPS)
-    return s[hit]
 
 
 def radial_parametrize(contour: Contour, M: int = 1024) -> PeriodicSignal:
@@ -113,28 +112,39 @@ def radial_parametrize(contour: Contour, M: int = 1024) -> PeriodicSignal:
     Sample ``j`` is the boundary distance along angle ``-pi + 2*pi*j/M`` from
     the centroid.  Rays crossing the boundary more than once mark the contour
     as non-star-shaped: the farthest crossing is kept and the returned signal
-    carries ``star_shaped=False``.
+    carries ``star_shaped=False``.  Rays are cast in blocks against all edges
+    at once, so memory stays bounded for any ``M`` and vertex count.
     """
     M = int(M)
     if M < 64:
         raise ValueError(f"need at least 64 angular samples, got {M}")
-    origin = np.asarray(contour.centroid, dtype=float)
-    radii = np.empty(M)
-    star_shaped = True
-    scale = max(1.0, float(np.max(np.abs(contour.points))))
-    for j in range(M):
-        theta = -np.pi + 2.0 * np.pi * j / M
-        direction = np.array([np.cos(theta), np.sin(theta)])
-        dists = _ray_distances(origin, direction, contour.points)
-        if dists.size == 0:
-            raise NoIntersection(
-                f"ray at angle {theta:.6f} missed the boundary; "
-                "is the centroid inside the polygon?"
-            )
-        if dists.size > 1 and np.ptp(dists) > 1e-9 * scale:
-            star_shaped = False
-        radii[j] = float(np.max(dists))
-    return PeriodicSignal.from_samples(radii, star_shaped=star_shaped)
+    p = contour.points
+    e = np.roll(p, -1, axis=0) - p
+    w = p - np.asarray(contour.centroid, dtype=float)
+    s_num = w[:, 0] * e[:, 1] - w[:, 1] * e[:, 0]
+    theta = -np.pi + 2.0 * np.pi * np.arange(M) / M
+    dx, dy = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    far, near = np.empty(M), np.empty(M)
+    step = max(1, _BLOCK // p.shape[0])
+    for j0 in range(0, M, step):
+        rays = slice(j0, j0 + step)
+        denom = dx[rays] * e[:, 1] - dy[rays] * e[:, 0]
+        ok = np.abs(denom) > _RAY_EPS
+        denom = np.where(ok, denom, 1.0)
+        s = s_num / denom
+        u = (w[:, 0] * dy[rays] - w[:, 1] * dx[rays]) / denom
+        hit = ok & (s > _RAY_EPS) & (u >= -_RAY_EPS) & (u < 1.0 - _RAY_EPS)
+        far[rays] = np.max(np.where(hit, s, -np.inf), axis=1)
+        near[rays] = np.min(np.where(hit, s, np.inf), axis=1)
+    missed = np.flatnonzero(far == -np.inf)
+    if missed.size:
+        raise NoIntersection(
+            f"ray at angle {theta[missed[0]]:.6f} missed the boundary; "
+            "is the centroid inside the polygon?"
+        )
+    scale = max(1.0, float(np.max(np.abs(p))))
+    star_shaped = not np.any(far - near > 1e-9 * scale)
+    return PeriodicSignal.from_samples(far, star_shaped=star_shaped)
 
 
 def reconstruct_region(

@@ -307,9 +307,12 @@ def solve(problem: QpProblem, initial_lam: np.ndarray | None = None) -> QpSoluti
             x, lam_out, iterations, converged, primal, dual, comp, stat, *counts
         )
 
-    warm = _pack((a.T @ lam) / (2.0 * q), lam, 0)
-    if warm.converged:
-        return warm
+    # Without a warm start the check is at x = 0, which converges exactly
+    # when max(g) is within the feasibility target; skip its matvecs otherwise.
+    if initial_lam is not None or np.max(g, initial=0.0) <= feas_target * s:
+        warm = _pack((a.T @ lam) / (2.0 * q), lam, 0)
+        if warm.converged:
+            return warm
     x, lam, failure, *counts = _active_set(
         a, g / s, q, feas_target, np.flatnonzero(lam)
     )

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,17 @@ from envlp import (
     reconstruct_region,
     write_polygon_csv,
 )
+from envlp.contour import _BLOCK
 from envlp.errors import DegeneratePolygon, NoIntersection, NonpositiveRadius
 from envlp.fourier import FourierEnvelope
 
 from conftest import star_points, vertex_margins
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+NOTCHED = [
+    (-1, -1), (1, -1), (1, 1), (0.55, 1),
+    (0.55, -0.2), (0.45, -0.2), (0.45, 1), (-1, 1),
+]
 
 
 def regular_polygon(radius, sides, center=(0.0, 0.0)):
@@ -23,6 +30,108 @@ def regular_polygon(radius, sides, center=(0.0, 0.0)):
     return np.column_stack(
         (center[0] + radius * np.cos(theta), center[1] + radius * np.sin(theta))
     )
+
+
+def crossing_reference(points):
+    """Per-pair reference for the blocked crossing scan of
+    ``Contour.from_points``: the message for the first crossing pair in
+    ``(i, j)`` order, else None."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    m = pts.shape[0]
+
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    for i in range(m):
+        p1, p2 = pts[i], pts[(i + 1) % m]
+        for j in range(i + 1, m):
+            if (j + 1) % m == i or (i + 1) % m == j:
+                continue
+            p3, p4 = pts[j], pts[(j + 1) % m]
+            d1, d2 = orient(p3, p4, p1), orient(p3, p4, p2)
+            d3, d4 = orient(p1, p2, p3), orient(p1, p2, p4)
+            if (
+                ((d1 > 0) != (d2 > 0))
+                and ((d3 > 0) != (d4 > 0))
+                and all(d != 0 for d in (d1, d2, d3, d4))
+            ):
+                return f"polygon edges {i} and {j} cross each other"
+    return None
+
+
+def crossing_message(points):
+    try:
+        Contour.from_points(points)
+    except DegeneratePolygon as err:
+        return str(err)
+    return None
+
+
+def radial_reference(contour, M):
+    """Per-ray reference for the blocked kernel of ``radial_parametrize``:
+    ``(samples, star_shaped)``, or the message for the first ray that misses."""
+    origin = np.asarray(contour.centroid, dtype=float)
+    p = contour.points
+    e = np.roll(p, -1, axis=0) - p
+    w = p - origin
+    radii = np.empty(M)
+    star_shaped = True
+    scale = max(1.0, float(np.max(np.abs(p))))
+    for j in range(M):
+        theta = -np.pi + 2.0 * np.pi * j / M
+        direction = np.array([np.cos(theta), np.sin(theta)])
+        denom = direction[0] * e[:, 1] - direction[1] * e[:, 0]
+        ok = np.abs(denom) > 1e-12
+        safe = np.where(ok, denom, 1.0)
+        s = np.where(ok, (w[:, 0] * e[:, 1] - w[:, 1] * e[:, 0]) / safe, -1.0)
+        u = np.where(ok, (w[:, 0] * direction[1] - w[:, 1] * direction[0]) / safe, -1.0)
+        dists = s[ok & (s > 1e-12) & (u >= -1e-12) & (u < 1.0 - 1e-12)]
+        if dists.size == 0:
+            return (
+                f"ray at angle {theta:.6f} missed the boundary; "
+                "is the centroid inside the polygon?"
+            )
+        if dists.size > 1 and np.ptp(dists) > 1e-9 * scale:
+            star_shaped = False
+        radii[j] = float(np.max(dists))
+    return radii, star_shaped
+
+
+def random_polygons(count=200, seed=20):
+    """Seeded polygons with nonzero area: point clouds (mostly
+    self-intersecting), near-stars with one vertex pushed out, and copies
+    snapped to a half-unit grid (collinear and touching edges)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        v = int(rng.integers(4, 25))
+        if len(out) % 2:
+            pts = rng.normal(size=(v, 2))
+        else:
+            theta = np.sort(rng.uniform(-np.pi, np.pi, v))
+            pts = rng.uniform(0.3, 1.0, v)[:, None] * np.column_stack(
+                (np.cos(theta), np.sin(theta))
+            )
+            pts[rng.integers(v)] *= rng.uniform(-2.0, 3.0)
+        if len(out) % 5 == 0:
+            pts = np.round(2.0 * pts) / 2.0
+        try:
+            centroid(pts)
+        except DegeneratePolygon:
+            continue
+        out.append(pts)
+    return out
+
+
+def mushroom(per_edge=50):
+    """Non-star cap on a stem, with every edge split into ``per_edge`` parts."""
+    corners = np.array(
+        [(-0.25, -1.0), (0.25, -1.0), (0.25, 0.5), (1.0, 0.5),
+         (1.0, 1.0), (-1.0, 1.0), (-1.0, 0.5), (-0.25, 0.5)]
+    )
+    frac = np.arange(per_edge)[None, :, None] / per_edge
+    step = np.roll(corners, -1, axis=0) - corners
+    return (corners[:, None, :] + frac * step[:, None, :]).reshape(-1, 2)
 
 
 class TestCentroid:
@@ -56,6 +165,50 @@ class TestContourValidation:
         with pytest.raises(DegeneratePolygon):
             Contour.from_points([(0, 0), (1, 0), (np.nan, 1)])
 
+    def test_random_polygons_match_pairwise_scan(self):
+        polygons = random_polygons()
+        expected = [crossing_reference(pts) for pts in polygons]
+        assert [crossing_message(pts) for pts in polygons] == expected
+        rejected = sum(message is not None for message in expected)
+        assert 50 <= rejected <= 150
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            # vertex 3 touches edge 0: an orientation is 0, so no crossing
+            [(0, 0), (4, 0), (4, 2), (2, 0), (0, 2)],
+            # edge 3 runs back along edge 0: all four orientations are 0
+            [(0, 0), (3, 0), (3, 1), (2, 0), (1, 0), (0, 1)],
+            # two edges meet at a vertex that is not shared
+            [(0, 0), (2, 0), (1, 1), (2, 2), (0, 2), (1, 1.0)],
+            # only the wrap pair (0, m - 1) is non-consecutive in a triangle
+            [(0, 0), (1, 0), (0, 1)],
+            # edge m - 1 folds back along edge 0 through the shared vertex 0
+            [(0, 0), (2, 0), (2, 2), (0, 2), (1, 0)],
+        ],
+        ids=["t-touch", "collinear-overlap", "vertex-touch", "triangle", "wrap-fold"],
+    )
+    def test_touching_and_adjacent_edges_do_not_cross(self, points):
+        assert crossing_reference(points) is None
+        Contour.from_points(points)
+
+    @pytest.mark.parametrize("case", ["crossings in two row blocks", "spike before a swap"])
+    def test_first_crossing_pair_reported(self, case):
+        pts = regular_polygon(1.0, 400)
+        if case == "crossings in two row blocks":
+            for k in (300, 120):  # swapping k, k + 1 crosses edges k - 1 and k + 1
+                pts[[k, k + 1]] = pts[[k + 1, k]]
+            expected = "polygon edges 119 and 121 cross each other"
+            assert 119 // (_BLOCK // 400) != 299 // (_BLOCK // 400)
+        else:
+            pts[[150, 151]] = pts[[151, 150]]
+            pts[100] *= -1.5  # edges 99 and 100 reach across the polygon
+            expected = crossing_reference(pts)
+            i, j = map(int, expected.split()[2:5:2])
+            assert i == 99 and j > 151
+        assert crossing_reference(pts) == expected
+        assert crossing_message(pts) == expected
+
 
 class TestRadialParametrize:
     def test_circle_as_polygon(self):
@@ -83,11 +236,7 @@ class TestRadialParametrize:
         assert sig.samples[64] == pytest.approx(1.0, abs=1e-6)  # theta = -pi/2
 
     def test_non_star_shape_flagged_and_over_covered(self):
-        notched = [
-            (-1, -1), (1, -1), (1, 1), (0.55, 1),
-            (0.55, -0.2), (0.45, -0.2), (0.45, 1), (-1, 1),
-        ]
-        sig = radial_parametrize(Contour.from_points(notched), M=256)
+        sig = radial_parametrize(Contour.from_points(NOTCHED), M=256)
         assert sig.star_shaped is False
 
     def test_centroid_outside_material(self):
@@ -95,8 +244,25 @@ class TestRadialParametrize:
         t = np.linspace(-0.75 * np.pi, 0.75 * np.pi, 40)
         outer = np.column_stack((2 * np.cos(t), 2 * np.sin(t)))
         inner = np.column_stack((1.8 * np.cos(t[::-1]), 1.8 * np.sin(t[::-1])))
-        with pytest.raises(NoIntersection):
-            radial_parametrize(Contour.from_points(np.vstack((outer, inner))), M=256)
+        contour = Contour.from_points(np.vstack((outer, inner)))
+        with pytest.raises(NoIntersection) as info:
+            radial_parametrize(contour, M=256)
+        assert str(info.value) == radial_reference(contour, 256)
+
+    @pytest.mark.parametrize("M", [64, 1000, 5001])
+    @pytest.mark.parametrize("shape", ["star", "notched off-centre", "mushroom"])
+    def test_samples_match_per_ray_loop(self, shape, M, star_contour):
+        if shape == "star":
+            contour = star_contour
+        elif shape == "notched off-centre":
+            contour = Contour.from_points(np.asarray(NOTCHED) + (3.7, -1.2))
+        else:
+            contour = Contour.from_points(mushroom())
+        samples, star_shaped = radial_reference(contour, M)
+        sig = radial_parametrize(contour, M=M)
+        assert np.array_equal(sig.samples, samples)
+        assert sig.star_shaped is star_shaped
+        assert star_shaped is (shape == "star")
 
     def test_minimum_sample_count(self):
         with pytest.raises(ValueError):
@@ -127,10 +293,44 @@ class TestReconstructRegion:
         margins, r_max = vertex_margins(res.subopt, star_contour)
         assert np.all(margins >= -1e-9 * r_max)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: rays sample the radius only at their angles, so "
+        "star tips between rays stick out until the majorant sampling fix",
+    )
+    def test_superset_of_star_tips_between_rays(self):
+        # Seven tips, the first half way between two of the 64 rays.
+        tips = tuple(k / 7 + 0.5 / 64 for k in range(7))
+        contour = Contour.from_points(star_points(tips=tips, r_inner=0.45))
+        res = approximate(radial_parametrize(contour, M=64), L=16, n=1024)
+        assert res.certified
+        margins, r_max = vertex_margins(res.subopt, contour)
+        assert np.all(margins >= -1e-9 * r_max)
+
     def test_recentered_output(self):
         env = FourierEnvelope(L=0, b0=1.0, b_re=[], b_im=[])
         pts = reconstruct_region(env, M=64, centroid=(5.0, -2.0))
         assert np.allclose(np.mean(pts, axis=0), (5.0, -2.0), atol=1e-12)
+
+
+class TestBlockedKernelMemory:
+    def test_peak_below_8_mb(self):
+        # An unblocked rays x edges or edges x edges broadcast at V = 3000
+        # needs about 72 MB per temporary.
+        theta = -np.pi + 2.0 * np.pi * np.arange(3000) / 3000
+        radius = 1.0 + 0.01 * np.sin(7.0 * theta)
+        pts = np.column_stack((radius * np.cos(theta), radius * np.sin(theta)))
+        tracemalloc.start()
+        try:
+            contour = Contour.from_points(pts)
+            scan_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            radial_parametrize(contour, M=4096)
+            ray_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scan_peak < 8e6
+        assert ray_peak < 8e6
 
 
 class TestPolygonCsv:

@@ -12,6 +12,7 @@ from envlp import (
     phasor_matrix,
     solve,
 )
+from envlp import qp
 from envlp.errors import DimensionMismatch, NotConverged
 from envlp.qp import TOL_FEAS, TOL_STAT
 
@@ -61,6 +62,39 @@ class TestSolveExamples:
         s = solve(p)
         assert s.converged
         assert abs(s.x[0] - max(g.max(), 0.0)) <= 1e-9
+
+
+@pytest.fixture
+def residual_calls(monkeypatch):
+    """One entry per KKT residual evaluation inside ``qp.solve``."""
+    calls = []
+
+    def counted(*args, _f=qp._residuals):
+        calls.append(1)
+        return _f(*args)
+
+    monkeypatch.setattr(qp, "_residuals", counted)
+    return calls
+
+
+class TestColdStartCheck:
+    @pytest.mark.parametrize("g", [[-1.0, -2.0], [0.0, 0.0], [-1.0, 1e-11]])
+    def test_zero_returned_when_it_converges(self, g, residual_calls):
+        # max(g) <= 0.1 * TOL_FEAS * max|g|: x = 0 is accepted unchanged.
+        sol = solve(QpProblem(q_diag=[1.0, 2.0], a_rows=np.eye(2), g=g))
+        assert sol.iterations == 0 and sol.converged
+        assert np.array_equal(sol.x, [0.0, 0.0]) and np.array_equal(sol.lam, [0.0, 0.0])
+        assert sol.primal_violation == max(max(g), 0.0)
+        assert (sol.dual_violation, sol.complementarity, sol.stationarity) == (0.0, 0.0, 0.0)
+        assert (sol.adds, sol.drops, sol.warm_rows) == (0, 0, 0)
+        assert len(residual_calls) == 1
+
+    @pytest.mark.parametrize("g", [[3.0, -1.0], [-1.0, 2e-10]])
+    def test_check_skipped_when_zero_cannot_converge(self, g, residual_calls):
+        sol = solve(QpProblem(q_diag=[1.0, 2.0], a_rows=np.eye(2), g=g))
+        assert sol.iterations == 1 and sol.converged
+        np.testing.assert_allclose(sol.x, np.maximum(g, 0.0), rtol=1e-12)
+        assert len(residual_calls) == 1  # the final verification only
 
 
 class TestKktResiduals:
