@@ -71,7 +71,6 @@ class SweepSpec:
     L_values: tuple
     n_values: tuple
     grid_m: int = solver.DEFAULT_CERTIFY_GRID
-    c_override: float | None = None
     c_prime_mode: str = solver.EXACT_POSTSOLVE
 
     def __post_init__(self):
@@ -202,10 +201,9 @@ def cmd_sweep(args) -> int:
         L_values=args.L,
         n_values=args.n,
         grid_m=args.grid,
-        c_override=args.lipschitz,
         c_prime_mode=_CPRIME_FLAGS[args.cprime_mode],
     )
-    sig = _load_signal(args.signal_csv, spec.c_override)
+    sig = _load_signal(args.signal_csv, args.lipschitz)
     rows, any_failed = _sweep_rows(sig, spec)
     text = _sweep_csv(rows) if args.format == "csv" else dumps(rows)
     _emit(text, args.out)

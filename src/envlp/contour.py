@@ -26,24 +26,18 @@ _RAY_EPS = 1e-12
 _BLOCK = 1 << 15
 
 
-def _shoelace_area(points: np.ndarray) -> float:
-    x, y = points[:, 0], points[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    return 0.5 * float(np.sum(x * yn - xn * y))
-
-
 def centroid(points) -> tuple[float, float]:
     """Area-weighted centroid of a closed polygon (shoelace formula)."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if pts.shape[0] < 3:
         raise DegeneratePolygon(f"polygon needs >= 3 vertices, got {pts.shape[0]}")
-    area = _shoelace_area(pts)
-    scale = max(1.0, float(np.max(np.abs(pts))) ** 2)
-    if abs(area) <= _AREA_EPS * scale:
-        raise DegeneratePolygon("polygon area is numerically zero")
     x, y = pts[:, 0], pts[:, 1]
     xn, yn = np.roll(x, -1), np.roll(y, -1)
     cross = x * yn - xn * y
+    area = 0.5 * float(np.sum(cross))
+    scale = max(1.0, float(np.max(np.abs(pts))) ** 2)
+    if abs(area) <= _AREA_EPS * scale:
+        raise DegeneratePolygon("polygon area is numerically zero")
     cx = float(np.sum((x + xn) * cross) / (6.0 * area))
     cy = float(np.sum((y + yn) * cross) / (6.0 * area))
     return cx, cy

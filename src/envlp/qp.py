@@ -67,7 +67,11 @@ class QpProblem:
             raise DimensionMismatch(
                 f"{a.shape[0]} rows but {g.shape[0]} right-hand sides"
             )
-        for arr in (q, a, g):
+        for name, arr in (("q_diag", q), ("a_rows", a), ("g", g)):
+            # min and max propagate NaN and see +-inf with no n-by-d temporary.
+            ends = [np.min(arr, initial=0.0), np.max(arr, initial=0.0)]
+            if not np.all(np.isfinite(ends)):
+                raise ValueError(f"{name} has a non-finite entry")
             arr.setflags(write=False)
         object.__setattr__(self, "q_diag", q)
         object.__setattr__(self, "a_rows", a)
@@ -92,8 +96,9 @@ class QpSolution:
 
     ``converged`` is True only when feasibility, complementarity and
     stationarity were all verified below tolerance on a fresh recomputation.
-    ``adds`` and ``drops`` count the active-set pass's working-set steps, and
-    ``warm_rows`` the rows it took from the warm start (all 0 without a pass).
+    ``adds`` and ``drops`` count the active-set pass's working-set steps,
+    ``warm_rows`` the rows it took from the warm start, and ``iterations``
+    is 1 when the pass made any step, 0 when its start was already optimal.
     """
 
     x: np.ndarray
@@ -173,7 +178,8 @@ def _active_set(a, g, q, feas_target, support):
     Returns ``(x, lam, failure, adds, drops, warm_rows)``.  ``failure`` is
     None once every row holds to ``feas_target``; otherwise it says why the
     pass stopped, and ``(x, lam)`` is its last iterate.  The pass starts from
-    the ``warm_rows`` rows of ``support`` if :func:`_seed` accepts them.
+    the ``warm_rows`` rows of ``support`` if :func:`_seed` accepts them, else
+    from ``x = 0``, and returns at once, with no step, if no row is violated.
 
     The working set stays linearly independent, so it has at most ``d`` rows.
     Its rows ``N``, ``N G`` and the inverse ``H`` of ``N G N^T`` fill the
@@ -266,62 +272,45 @@ def solve(problem: QpProblem, initial_lam: np.ndarray | None = None) -> QpSoluti
     ``0.5 * TOL_STAT * s`` and summed complementarity at most
     ``0.1 * TOL_STAT * (s**2 + x^T Q x)``.
 
-    A warm start ``initial_lam`` (clipped to be nonnegative; zero when
-    omitted) is checked first through ``x = A^T lam / (2Q)``.  If it already
-    meets the tolerances it is returned with ``iterations == 0``; otherwise
-    the active-set pass runs and ``iterations == 1``, starting from the rows
-    where ``initial_lam`` is positive if they are independent and their
-    re-solved equality multipliers are nonnegative, else from ``x = 0``.
+    Every solve runs the pass once and verifies its result once.  The pass
+    starts from the rows where ``initial_lam`` is positive if
+    :func:`_seed` accepts them (their multipliers are re-solved, so only
+    the support of ``initial_lam`` matters), else from ``x = 0``.
+    ``iterations`` is 0 when that start was already optimal, so the pass
+    made no add or drop step, and 1 otherwise.
 
     Raises :class:`NotConverged` with the pass's last iterate attached when
     the constraints are infeasible or the result fails KKT verification.
     """
-    a = problem.a_rows
-    g = problem.g
-    q = problem.q_diag
-    n = problem.n
-
-    if initial_lam is None:
-        lam = np.zeros(n)
-    else:
-        lam = np.asarray(initial_lam, dtype=float).reshape(-1)
-        if lam.shape[0] != n:
+    support = np.empty(0, dtype=np.intp)
+    if initial_lam is not None:
+        warm = np.asarray(initial_lam, dtype=float).reshape(-1)
+        if warm.shape[0] != problem.n:
             raise DimensionMismatch(
-                f"initial_lam has length {lam.shape[0]}, expected {n}"
+                f"initial_lam has length {warm.shape[0]}, expected {problem.n}"
             )
-        lam = np.maximum(lam, 0.0)
+        support = np.flatnonzero(warm > 0.0)
 
-    s = float(np.max(np.abs(g), initial=0.0)) or 1.0
+    s = float(np.max(np.abs(problem.g), initial=0.0)) or 1.0
     feas_target = _SAFETY * TOL_FEAS
-    comp_factor = _SAFETY * TOL_STAT
-    stat_target = 0.5 * TOL_STAT
-
-    def _pack(x, lam_out, iterations, *counts):
-        primal, dual, comp, stat, comp_sum = _residuals(problem, x, lam_out)
-        converged = (
-            primal <= feas_target * s
-            and comp_sum <= comp_factor * (s * s + problem.objective(x))
-            and stat <= stat_target * s
-        )
-        return QpSolution(
-            x, lam_out, iterations, converged, primal, dual, comp, stat, *counts
-        )
-
-    # Without a warm start the check is at x = 0, which converges exactly
-    # when max(g) is within the feasibility target; skip its matvecs otherwise.
-    if initial_lam is not None or np.max(g, initial=0.0) <= feas_target * s:
-        warm = _pack((a.T @ lam) / (2.0 * q), lam, 0)
-        if warm.converged:
-            return warm
-    x, lam, failure, *counts = _active_set(
-        a, g / s, q, feas_target, np.flatnonzero(lam)
+    x, lam, failure, adds, drops, warm_rows = _active_set(
+        problem.a_rows, problem.g / s, problem.q_diag, feas_target, support
     )
-    solution = _pack(s * x, s * lam, 1, *counts)
-    if solution.converged:
+    x, lam = s * x, s * lam
+    primal, dual, comp, stat, comp_sum = _residuals(problem, x, lam)
+    converged = (
+        primal <= feas_target * s
+        and comp_sum <= _SAFETY * TOL_STAT * (s * s + problem.objective(x))
+        and stat <= 0.5 * TOL_STAT * s
+    )
+    solution = QpSolution(
+        x, lam, int(adds + drops > 0), converged, primal, dual, comp, stat,
+        adds, drops, warm_rows,
+    )
+    if converged:
         return solution
     raise NotConverged(
         f"qp: {failure or 'KKT verification failed'} "
-        f"(primal_violation={solution.primal_violation:.3e}, "
-        f"stationarity={solution.stationarity:.3e})",
+        f"(primal_violation={primal:.3e}, stationarity={stat:.3e})",
         solution=solution,
     )

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,3 +241,50 @@ class TestCertify:
         payload["subopt"]["b_re"] = [0.1, 0.2]
         result.write_text(json.dumps(payload))
         assert main(["certify", str(result), cos_csv]) == 1
+
+
+_NUMPY_ONLY = r"""
+import importlib.abc, json, sys
+
+class Unavailable(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in ("scipy", "shapely"):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+sys.meta_path.insert(0, Unavailable())
+for name in ("scipy", "shapely"):
+    try:
+        __import__(name)
+    except ModuleNotFoundError:
+        pass
+    else:
+        raise SystemExit(f"{name} was importable")
+
+from envlp.cli import main
+
+poly, sig, result = sys.argv[1:]
+codes = [
+    main(["ingest", poly, "--samples", "256", "--out", sig]),
+    main(["approximate", sig, "--L", "2", "--n", "32", "--out", result]),
+    main(["sweep", sig, "--L", "1,2", "--n", "16,32", "--out", result + ".sweep"]),
+    main(["certify", result, sig, "--out", result + ".cert"]),
+]
+print(json.dumps(codes))
+"""
+
+
+def test_cli_needs_only_numpy(tmp_path):
+    # scipy and shapely are made unimportable: numpy is the only runtime
+    # dependency the package declares.
+    poly = tmp_path / "star_poly.csv"
+    write_polygon_csv(poly, star_points())
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    args = [str(poly), str(tmp_path / "star.csv"), str(tmp_path / "result.json")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_ONLY, *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, 0, 0, 0]
