@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -55,6 +55,10 @@ def dumps(value, indent: int = 0) -> str:
             return "[]"
         items = [f"{pad}  {dumps(v, indent + 1)}" for v in value]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    return _scalar(value)
+
+
+def _scalar(value) -> str:
     if isinstance(value, bool) or value is None:
         return json.dumps(value)
     if isinstance(value, (int, np.integer)):
@@ -62,29 +66,6 @@ def dumps(value, indent: int = 0) -> str:
     if isinstance(value, (float, np.floating)):
         return format_float(value)
     return json.dumps(str(value))
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Validated grid of (L, n) runs; rows are emitted L-major, n-minor."""
-
-    L_values: tuple
-    n_values: tuple
-    grid_m: int = solver.DEFAULT_CERTIFY_GRID
-    c_prime_mode: str = solver.EXACT_POSTSOLVE
-
-    def __post_init__(self):
-        if not self.L_values or not self.n_values:
-            raise ValueError("sweep needs at least one L and one n")
-        for L, n in self.pairs():
-            solver.check_run(L, n, self.grid_m)
-        if self.c_prime_mode not in solver.C_PRIME_MODES:
-            raise ValueError(f"bad c_prime_mode {self.c_prime_mode!r}")
-
-    def pairs(self):
-        for L in self.L_values:
-            for n in self.n_values:
-                yield L, n
 
 
 def _int_list(text: str) -> tuple:
@@ -98,9 +79,7 @@ def _int_list(text: str) -> tuple:
 def _emit(text: str, out_path) -> None:
     if out_path:
         with open(out_path, "w") as handle:
-            handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
+            handle.write(text + "\n")
     else:
         print(text)
 
@@ -123,6 +102,9 @@ def cmd_approximate(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    # The sidecar goes to the --out path with a .json extension.
+    if args.out and os.path.splitext(args.out)[1].lower() == ".json":
+        raise ValueError(f"--out {args.out!r} is the path of its own .json sidecar")
     contour = Contour.from_points(read_polygon_csv(args.polygon_csv))
     sig = radial_parametrize(contour, M=args.samples)
     sidecar = {
@@ -133,21 +115,18 @@ def cmd_ingest(args) -> int:
     }
     if args.out:
         write_signal_csv(args.out, sig.samples)
-        sidecar_path = os.path.splitext(args.out)[0] + ".json"
-        with open(sidecar_path, "w") as handle:
-            handle.write(dumps(sidecar) + "\n")
+        _emit(dumps(sidecar), os.path.splitext(args.out)[0] + ".json")
     else:
         print("\n".join(format_float(v) for v in sig.samples))
         print(dumps(sidecar), file=sys.stderr)
     return EXIT_OK
 
 
-def _sweep_rows(sig: PeriodicSignal, spec: SweepSpec):
-    """One result dict per (L, n) pair; failures become flagged rows."""
+def _sweep_rows(sig: PeriodicSignal, args):
+    """One result dict per (L, n) pair, L-major; failures become error rows."""
     rows = []
-    any_failed = False
     warm: dict[int, tuple[int, np.ndarray]] = {}
-    for L, n in spec.pairs():
+    for L, n in product(args.L, args.n):
         initial_lam = None
         if L in warm:
             n_prev, lam_prev = warm[L]
@@ -159,19 +138,16 @@ def _sweep_rows(sig: PeriodicSignal, spec: SweepSpec):
                 sig,
                 L=L,
                 n=n,
-                c_prime_mode=spec.c_prime_mode,
-                grid_m=spec.grid_m,
+                c_prime_mode=_CPRIME_FLAGS[args.cprime_mode],
+                grid_m=args.grid,
                 initial_lam=initial_lam,
             )
         except (EnvelopeError, ValueError) as exc:
             rows.append({"L": L, "n": n, "error": str(exc)})
-            any_failed = True
             continue
         warm[L] = (n, result.solver_diag.lam)
         rows.append(result.to_dict())
-        if not result.certified:
-            any_failed = True
-    return rows, any_failed
+    return rows
 
 
 def _sweep_csv(rows) -> str:
@@ -179,40 +155,28 @@ def _sweep_csv(rows) -> str:
     for row in rows:
         if "error" in row:
             lines.append(f"{row['L']},{row['n']},,,,error,")
-            continue
-        lines.append(
-            ",".join(
-                (
-                    str(row["L"]),
-                    str(row["n"]),
-                    format_float(row["cost_appopt"]),
-                    format_float(row["cost_subopt"]),
-                    format_float(row["gap_bound"]),
-                    "true" if row["certified"] else "false",
-                    format_float(row["min_margin"]),
-                )
-            )
-        )
+        else:
+            lines.append(",".join(_scalar(row[key]) for key in SWEEP_COLUMNS))
     return "\n".join(lines)
 
 
 def cmd_sweep(args) -> int:
-    spec = SweepSpec(
-        L_values=args.L,
-        n_values=args.n,
-        grid_m=args.grid,
-        c_prime_mode=_CPRIME_FLAGS[args.cprime_mode],
-    )
-    sig = _load_signal(args.signal_csv, args.lipschitz)
-    rows, any_failed = _sweep_rows(sig, spec)
+    if not args.L or not args.n:
+        raise ValueError("sweep needs at least one L and one n")
+    for L, n in product(args.L, args.n):
+        solver.check_run(L, n, args.grid)
+    rows = _sweep_rows(_load_signal(args.signal_csv, args.lipschitz), args)
     text = _sweep_csv(rows) if args.format == "csv" else dumps(rows)
     _emit(text, args.out)
-    return EXIT_UNCERTIFIED if any_failed else EXIT_OK
+    failed = any("error" in row or not row["certified"] for row in rows)
+    return EXIT_UNCERTIFIED if failed else EXIT_OK
 
 
 def cmd_certify(args) -> int:
     with open(args.result_json) as handle:
         payload = json.load(handle)
+    if not isinstance(payload, dict) or "subopt" not in payload:
+        raise ValueError(f"{args.result_json} is not a result written by approximate")
     subopt = FourierEnvelope.from_dict(payload["subopt"])
     sig = _load_signal(args.signal_csv, None)
     certified, min_margin = solver.certify(subopt, sig, grid_m=args.grid)
@@ -233,49 +197,55 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("approximate", help="solve one (L, n) run on a signal CSV")
-    p.add_argument("signal_csv")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--grid", type=int, default=solver.DEFAULT_CERTIFY_GRID)
+    solve = argparse.ArgumentParser(add_help=False)
+    solve.add_argument("signal_csv")
+    solve.add_argument("--lipschitz", type=float, default=None, help="signal slope bound")
+    solve.add_argument("--cprime-mode", choices=sorted(_CPRIME_FLAGS), default="exact")
+
+    p = sub.add_parser(
+        "approximate", parents=[solve, grid, out], help="solve one (L, n) run on a signal CSV"
+    )
     p.add_argument("--L", type=int, required=True, help="harmonic budget")
     p.add_argument("--n", type=int, required=True, help="constraint count")
-    p.add_argument("--lipschitz", type=float, default=None, help="signal slope bound")
-    p.add_argument("--cprime-mode", choices=sorted(_CPRIME_FLAGS), default="exact")
-    p.add_argument("--grid", type=int, default=solver.DEFAULT_CERTIFY_GRID)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_approximate)
 
-    p = sub.add_parser("ingest", help="polygon CSV -> radial signal CSV (+sidecar)")
+    p = sub.add_parser(
+        "ingest", parents=[out], help="polygon CSV -> radial signal CSV (+sidecar)"
+    )
     p.add_argument("polygon_csv")
     p.add_argument("--samples", type=int, default=1024, help="angular sample count")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("sweep", help="grid of (L, n) runs; JSON array or CSV table")
-    p.add_argument("signal_csv")
+    p = sub.add_parser(
+        "sweep", parents=[solve, grid, out], help="grid of (L, n) runs; JSON array or CSV table"
+    )
     p.add_argument("--L", type=_int_list, required=True, help="comma list, e.g. 1,2,5")
     p.add_argument("--n", type=_int_list, required=True, help="comma list, e.g. 8,16,32")
-    p.add_argument("--lipschitz", type=float, default=None)
-    p.add_argument("--cprime-mode", choices=sorted(_CPRIME_FLAGS), default="exact")
-    p.add_argument("--grid", type=int, default=solver.DEFAULT_CERTIFY_GRID)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("certify", help="re-check a stored result against a signal")
+    p = sub.add_parser(
+        "certify", parents=[grid, out], help="re-check a stored result against a signal"
+    )
     p.add_argument("result_json")
     p.add_argument("signal_csv")
-    p.add_argument("--grid", type=int, default=solver.DEFAULT_CERTIFY_GRID)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_certify)
 
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (EnvelopeError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (EnvelopeError, OSError, ValueError, KeyError) as exc:
         print(f"envlp: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegeneratePolygon, NoIntersection, NonpositiveRadius
 from .fourier import FourierEnvelope
-from .signals import PeriodicSignal, format_float
+from .signals import PeriodicSignal, data_lines, format_float
 
 _AREA_EPS = 1e-12
 _RAY_EPS = 1e-12
@@ -167,10 +167,7 @@ def reconstruct_region(
 def read_polygon_csv(path) -> np.ndarray:
     """Read ``x,y`` vertex lines; '#' comments skipped; polygon auto-closed."""
     rows = []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in data_lines(path):
         parts = line.split(",")
         if len(parts) != 2:
             raise ValueError(f"expected 'x,y' per line, got {line!r}")

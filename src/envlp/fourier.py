@@ -138,15 +138,11 @@ class FourierEnvelope:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FourierEnvelope":
-        L = int(payload["L"])
-        b_re = np.asarray(payload["b_re"], dtype=float)
-        b_im = np.asarray(payload["b_im"], dtype=float)
-        if b_re.shape != (L,) or b_im.shape != (L,):
-            raise ValueError(
-                f"envelope payload inconsistent: L={L} but coefficient arrays "
-                f"have lengths {b_re.shape[0]} and {b_im.shape[0]}"
-            )
-        return cls(L=L, b0=float(payload["b0"]), b_re=b_re, b_im=b_im)
+        try:
+            b0 = float(payload["b0"])
+            return cls(L=payload["L"], b0=b0, b_re=payload["b_re"], b_im=payload["b_im"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed envelope payload: {exc!r}") from exc
 
 
 def phasor_row(L: int, t: float) -> np.ndarray:

@@ -93,7 +93,7 @@ class PeriodicSignal:
             c = float(lipschitz_c)
             if c < 0:
                 raise LipschitzTooSmall(f"slope bound must be nonnegative, got {c}")
-            if c < observed - _SLOPE_SLACK:
+            if c < observed * (1.0 - _SLOPE_SLACK):
                 raise LipschitzTooSmall(
                     f"slope bound {c} is below the observed discrete slope {observed}"
                 )
@@ -129,17 +129,21 @@ class PeriodicSignal:
         return float(np.mean(self.samples ** 2))
 
 
+def data_lines(path):
+    """Stripped lines of a text file, skipping blank lines and '#' comments."""
+    for raw in Path(path).read_text().splitlines():
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line
+
+
 def read_signal_csv(path) -> np.ndarray:
     """Read one sample value per line; '#' comments and an optional
     ``value`` header line are skipped."""
     values = []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not values and line.lower() == "value":
-            continue
-        values.append(float(line))
+    for line in data_lines(path):
+        if values or line.lower() != "value":
+            values.append(float(line))
     return np.asarray(values, dtype=float)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from envlp import qp, solver, write_polygon_csv, write_signal_csv
-from envlp.cli import SweepSpec, dumps, format_float, main
+from envlp.cli import SWEEP_COLUMNS, dumps, format_float, main
 from envlp.errors import NotConverged
 
 from conftest import star_points
@@ -115,6 +115,16 @@ class TestIngest:
         poly.write_text("0,0\n1,1\n")
         assert main(["ingest", str(poly), "--samples", "256"]) == 1
 
+    @pytest.mark.parametrize("name", ["sig.json", "sig.JSON"])
+    def test_json_out_rejected(self, tmp_path, capsys, name):
+        # The sidecar path of sig.json is sig.json itself.
+        poly = tmp_path / "square.csv"
+        write_polygon_csv(poly, [(0, 0), (1, 0), (1, 1), (0, 1)])
+        out = tmp_path / name
+        assert main(["ingest", str(poly), "--samples", "64", "--out", str(out)]) == 1
+        assert "envlp: error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stdout_mode_emits_samples(self, tmp_path, capsys):
         poly = tmp_path / "square.csv"
         write_polygon_csv(poly, [(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -122,6 +132,12 @@ class TestIngest:
         captured = capsys.readouterr()
         assert len(captured.out.split()) == 64
         assert "star_shaped" in captured.err
+
+
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value) if isinstance(value, int) else format_float(value)
 
 
 class TestSweep:
@@ -200,13 +216,15 @@ class TestSweep:
         assert captured.out == ""
         assert "envlp: error:" in captured.err
 
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            SweepSpec(L_values=(1,), n_values=())
-        with pytest.raises(ValueError):
-            SweepSpec(L_values=(2,), n_values=(4,))
-        with pytest.raises(ValueError):
-            SweepSpec(L_values=(1,), n_values=(8,), c_prime_mode="bogus")
+    def test_csv_cells_render_json_fields(self, star_csv, capsys):
+        flags = [star_csv, "--L", "0,1,2", "--n", "16,32"]
+        assert main(["sweep", *flags]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert main(["sweep", *flags, "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == len(rows) + 1
+        for row, line in zip(rows, lines[1:]):
+            assert line.split(",") == [_cell(row[key]) for key in SWEEP_COLUMNS]
 
 
 class TestCertify:
@@ -241,6 +259,40 @@ class TestCertify:
         payload["subopt"]["b_re"] = [0.1, 0.2]
         result.write_text(json.dumps(payload))
         assert main(["certify", str(result), cos_csv]) == 1
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda payload: [payload, payload],
+            lambda payload: {k: v for k, v in payload.items() if k != "subopt"},
+            lambda payload: {**payload, "subopt": [1.0, 0.0, 0.0]},
+            lambda payload: {**payload, "subopt": {**payload["subopt"], "L": [1]}},
+        ],
+        ids=["sweep_array", "no_subopt", "subopt_list", "L_list"],
+    )
+    def test_payload_not_a_result(self, cos_csv, tmp_path, capsys, edit):
+        result = self._result_file(cos_csv, tmp_path)
+        result.write_text(json.dumps(edit(json.loads(result.read_text()))))
+        assert main(["certify", str(result), cos_csv]) == 1
+        assert "envlp: error:" in capsys.readouterr().err
+
+
+_SHARED_FLAGS = {
+    "approximate": ["signal_csv", "--lipschitz", "--cprime-mode", "--grid", "--out"],
+    "ingest": ["polygon_csv", "--out"],
+    "sweep": ["signal_csv", "--lipschitz", "--cprime-mode", "--grid", "--out"],
+    "certify": ["result_json", "signal_csv", "--grid", "--out"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SHARED_FLAGS))
+def test_help_lists_shared_flags(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    text = capsys.readouterr().out
+    for flag in _SHARED_FLAGS[command]:
+        assert flag in text
 
 
 _NUMPY_ONLY = r"""

@@ -32,6 +32,18 @@ class TestFromSamples:
         with pytest.raises(LipschitzTooSmall):
             PeriodicSignal.from_samples(values, lipschitz_c=1.0)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e8])
+    @pytest.mark.parametrize("ratio", [0.5, 1 - 1e-12])
+    def test_slope_check_is_scale_free(self, scale, ratio):
+        t = np.arange(256) / 256
+        values = (1.5 + np.cos(2 * np.pi * t)) * scale
+        c = ratio * observed_slope(values)
+        if ratio < 1 - 1e-9:
+            with pytest.raises(LipschitzTooSmall):
+                PeriodicSignal.from_samples(values, lipschitz_c=c)
+        else:
+            assert PeriodicSignal.from_samples(values, lipschitz_c=c).lipschitz_c == c
+
     def test_user_slope_accepted_and_tagged(self):
         values = [0.0, 1.0, 0.0, -1.0]
         sig = PeriodicSignal.from_samples(values, lipschitz_c=4.5)
