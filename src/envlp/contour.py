@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegeneratePolygon, NoIntersection, NonpositiveRadius
-from .fourier import FourierEnvelope
+from .fourier import MAX_CONSTRAINTS, FourierEnvelope
 from .signals import PeriodicSignal, data_lines, format_float
 
 _AREA_EPS = 1e-12
@@ -35,8 +35,7 @@ def centroid(points) -> tuple[float, float]:
     xn, yn = np.roll(x, -1), np.roll(y, -1)
     cross = x * yn - xn * y
     area = 0.5 * float(np.sum(cross))
-    scale = max(1.0, float(np.max(np.abs(pts))) ** 2)
-    if abs(area) <= _AREA_EPS * scale:
+    if abs(area) <= _AREA_EPS * float(np.max(np.abs(pts))) ** 2:
         raise DegeneratePolygon("polygon area is numerically zero")
     cx = float(np.sum((x + xn) * cross) / (6.0 * area))
     cy = float(np.sum((y + yn) * cross) / (6.0 * area))
@@ -89,8 +88,6 @@ class Contour:
         """Validated contour: at least 3 finite vertices, nonzero area and no
         two non-adjacent edges crossing, checked by a blocked array scan."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        if pts.shape[0] < 3:
-            raise DegeneratePolygon(f"polygon needs >= 3 vertices, got {pts.shape[0]}")
         if not np.all(np.isfinite(pts)):
             raise DegeneratePolygon("polygon vertices must be finite")
         cx, cy = centroid(pts)
@@ -104,41 +101,41 @@ def radial_parametrize(contour: Contour, M: int = 1024) -> PeriodicSignal:
     """Radial signal of the contour on ``M`` uniform angles.
 
     Sample ``j`` is the boundary distance along angle ``-pi + 2*pi*j/M`` from
-    the centroid.  Rays crossing the boundary more than once mark the contour
-    as non-star-shaped: the farthest crossing is kept and the returned signal
-    carries ``star_shaped=False``.  Rays are cast in blocks against all edges
-    at once, so memory stays bounded for any ``M`` and vertex count.
+    the centroid, the farthest where a ray crosses more than once; rays are
+    cast in blocks, so memory stays bounded for any ``M`` and vertex count.
+    ``star_shaped`` is read off the edges: True exactly when the polygon is
+    star-shaped about its centroid, i.e. seen from there no edge turns back.
     """
     M = int(M)
-    if M < 64:
-        raise ValueError(f"need at least 64 angular samples, got {M}")
+    if not 64 <= M <= MAX_CONSTRAINTS:
+        raise ValueError(f"need 64 to {MAX_CONSTRAINTS} angular samples, got {M}")
     p = contour.points
     e = np.roll(p, -1, axis=0) - p
     w = p - np.asarray(contour.centroid, dtype=float)
     s_num = w[:, 0] * e[:, 1] - w[:, 1] * e[:, 0]
+    e_len, w_len = np.hypot(e[:, 0], e[:, 1]), np.hypot(w[:, 0], w[:, 1])
+    s_min = _RAY_EPS * float(np.max(w_len))
     theta = -np.pi + 2.0 * np.pi * np.arange(M) / M
     dx, dy = np.cos(theta)[:, None], np.sin(theta)[:, None]
-    far, near = np.empty(M), np.empty(M)
+    far = np.empty(M)
     step = max(1, _BLOCK // p.shape[0])
     for j0 in range(0, M, step):
         rays = slice(j0, j0 + step)
         denom = dx[rays] * e[:, 1] - dy[rays] * e[:, 0]
-        ok = np.abs(denom) > _RAY_EPS
+        ok = np.abs(denom) > _RAY_EPS * e_len
         denom = np.where(ok, denom, 1.0)
         s = s_num / denom
         u = (w[:, 0] * dy[rays] - w[:, 1] * dx[rays]) / denom
-        hit = ok & (s > _RAY_EPS) & (u >= -_RAY_EPS) & (u < 1.0 - _RAY_EPS)
+        hit = ok & (s > s_min) & (u >= -_RAY_EPS) & (u < 1.0 - _RAY_EPS)
         far[rays] = np.max(np.where(hit, s, -np.inf), axis=1)
-        near[rays] = np.min(np.where(hit, s, np.inf), axis=1)
     missed = np.flatnonzero(far == -np.inf)
     if missed.size:
         raise NoIntersection(
             f"ray at angle {theta[missed[0]]:.6f} missed the boundary; "
             "is the centroid inside the polygon?"
         )
-    scale = max(1.0, float(np.max(np.abs(p))))
-    star_shaped = not np.any(far - near > 1e-9 * scale)
-    return PeriodicSignal.from_samples(far, star_shaped=star_shaped)
+    backwards = s_num * np.sign(np.sum(s_num)) < -_RAY_EPS * w_len * e_len
+    return PeriodicSignal.from_samples(far, star_shaped=not np.any(backwards))
 
 
 def reconstruct_region(

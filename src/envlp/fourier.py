@@ -28,14 +28,27 @@ MAX_HARMONICS = 64
 MAX_CONSTRAINTS = 10 ** 6
 
 
+def _integral(value) -> bool:
+    """Whether ``value`` is an integer or an integral float, and not a bool."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
+    if isinstance(value, (int, np.integer)):
+        return True
+    return isinstance(value, (float, np.floating)) and float(value).is_integer()
+
+
 def check_run(L: int, n: int | None = None, grid_m: int | None = None) -> None:
     """Validate a harmonic budget, constraint count and certification grid.
 
-    ``L`` must lie in ``[0, MAX_HARMONICS]``; ``n`` (when given) in
-    ``[2L+1, MAX_CONSTRAINTS]``, because with fewer than ``2L+1`` rows the
-    polynomial between grid points is uncontrolled; ``grid_m`` (when given)
-    must be at least 16.
+    Each must be an integer: an integral float passes, a bool or a
+    non-integral or non-finite value does not.  ``L`` must lie in
+    ``[0, MAX_HARMONICS]``; ``n`` (when given) in ``[2L+1, MAX_CONSTRAINTS]``,
+    because with fewer than ``2L+1`` rows the polynomial between grid points
+    is uncontrolled; ``grid_m`` (when given) in ``[16, MAX_CONSTRAINTS]``.
     """
+    for name, value in (("harmonic budget", L), ("n", n), ("grid", grid_m)):
+        if value is not None and not _integral(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if L < 0:
         raise ValueError(f"harmonic budget must be nonnegative, got {L}")
     if L > MAX_HARMONICS:
@@ -45,8 +58,10 @@ def check_run(L: int, n: int | None = None, grid_m: int | None = None) -> None:
             raise TooFewConstraints(f"need n >= 2L+1 = {2 * L + 1}, got n={n}")
         if n > MAX_CONSTRAINTS:
             raise ValueError(f"n={n} exceeds the supported maximum {MAX_CONSTRAINTS}")
-    if grid_m is not None and grid_m < 16:
-        raise ValueError(f"certification grid must have >= 16 points, got {grid_m}")
+    if grid_m is not None and not 16 <= grid_m <= MAX_CONSTRAINTS:
+        raise ValueError(
+            f"certification grid must have 16 to {MAX_CONSTRAINTS} points, got {grid_m}"
+        )
 
 
 def _phases(L: int, t: np.ndarray) -> np.ndarray:
@@ -76,14 +91,14 @@ class FourierEnvelope:
     b_im: np.ndarray
 
     def __post_init__(self):
+        check_run(self.L)
         L = int(self.L)
-        check_run(L)
-        b_re = np.array(self.b_re, dtype=float).reshape(-1)
-        b_im = np.array(self.b_im, dtype=float).reshape(-1)
+        b_re = np.array(self.b_re, dtype=float)
+        b_im = np.array(self.b_im, dtype=float)
         if b_re.shape != (L,) or b_im.shape != (L,):
             raise ValueError(
-                f"coefficient arrays must have length L={L}, "
-                f"got {b_re.shape[0]} and {b_im.shape[0]}"
+                f"coefficient arrays must be 1-D of length L={L}, "
+                f"got shapes {b_re.shape} and {b_im.shape}"
             )
         if not (np.isfinite(self.b0) and np.all(np.isfinite(b_re)) and np.all(np.isfinite(b_im))):
             raise ValueError("coefficients must be finite")

@@ -148,7 +148,7 @@ def kkt_residuals(problem: QpProblem, solution: QpSolution):
 
 
 def _seed(a, g, ginv, support):
-    """``(N, N G, H, mu)`` on the rows ``support``, or None.
+    """``(N, H, mu)`` on the rows ``support``, or None.
 
     ``H`` inverts ``N G N^T`` and ``mu = H g_W``, so ``x = G N^T mu`` makes
     every row of ``support`` tight.  None unless there are at most ``d`` rows,
@@ -157,19 +157,18 @@ def _seed(a, g, ginv, support):
     if not 0 < support.size <= a.shape[1]:
         return None
     rows = a[support]
-    grows = rows * ginv
-    m = grows @ rows.T
+    m = (rows * ginv) @ rows.T
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         return None
-    if np.any(np.diag(chol) ** 2 <= _RANK_CUT * np.maximum(np.diag(m), 1.0)):
+    if np.any(np.diag(chol) ** 2 <= _RANK_CUT * np.diag(m)):
         return None
     cinv = np.linalg.inv(chol)
     h = cinv.T @ cinv
     mu = h @ g[support]
     mu += h @ (g[support] - m @ mu)
-    return (rows, grows, h, mu) if np.all(mu >= 0.0) else None
+    return (rows, h, mu) if np.all(mu >= 0.0) else None
 
 
 def _active_set(a, g, q, feas_target, support):
@@ -182,24 +181,23 @@ def _active_set(a, g, q, feas_target, support):
     from ``x = 0``, and returns at once, with no step, if no row is violated.
 
     The working set stays linearly independent, so it has at most ``d`` rows.
-    Its rows ``N``, ``N G`` and the inverse ``H`` of ``N G N^T`` fill the
-    first ``k`` slots of zero-padded buffers.  An add borders ``H`` with the
-    new row's Schur complement; a drop downdates it and moves the last slot
-    into the freed one.  Each direction takes one refinement step
+    Only its rows ``N`` and the inverse ``H`` of ``N G N^T`` are stored, in
+    the first ``k`` slots of zero-padded buffers.  An add borders ``H`` with
+    the new row's Schur complement; a drop downdates it and moves the last
+    slot into the freed one.  Each direction takes one refinement step
     ``r += H (N z)``.  Both loops are capped.
     """
     n, d = a.shape
     ginv = 0.5 / q
-    rows, grows = np.zeros((d, d)), np.zeros((d, d))
-    h, rank1 = np.zeros((d, d)), np.empty((d, d))
+    rows, h, rank1 = np.zeros((d, d)), np.zeros((d, d)), np.empty((d, d))
     lam_w, idx = np.zeros(d), np.zeros(d, dtype=np.intp)
     x = np.zeros(d)
     seed = _seed(a, g, ginv, support)
     k = warm_rows = 0 if seed is None else support.size
     if seed is not None:
-        rows[:k], grows[:k], h[:k, :k], lam_w[:k] = seed
+        rows[:k], h[:k, :k], lam_w[:k] = seed
         idx[:k] = support
-        x = grows.T @ lam_w
+        x = ginv * (rows.T @ lam_w)
     adds = drops = 0
 
     def result(failure):
@@ -214,13 +212,13 @@ def _active_set(a, g, q, feas_target, support):
             return result(None)
         row_p = a[p]
         v = ginv * row_p
-        cut = _RANK_CUT * max(float(row_p @ v), 1.0)
+        cut = _RANK_CUT * float(row_p @ v)
         lam_p = 0.0
         for _inner in range(3 * d + 20):
             r = h @ (rows @ v)
-            z = v - grows.T @ r
+            z = v - ginv * (rows.T @ r)
             r += h @ (rows @ z)
-            z = v - grows.T @ r
+            z = v - ginv * (rows.T @ r)
             denom = float(row_p @ z)
             viol = float(g[p] - row_p @ x)
             # Satisfied by the drop steps alone, row p joins with no step.
@@ -241,10 +239,10 @@ def _active_set(a, g, q, feas_target, support):
                     col = h[:, j].copy()
                     h -= np.multiply.outer(col, col / col[j], out=rank1)
                     k -= 1
-                    h[j], rows[j], grows[j] = h[k], rows[k], grows[k]
+                    h[j], rows[j] = h[k], rows[k]
                     h[:, j] = h[:, k]
                     lam_w[j], idx[j] = lam_w[k], idx[k]
-                    h[k] = h[:, k] = rows[k] = grows[k] = lam_w[k] = 0.0
+                    h[k] = h[:, k] = rows[k] = lam_w[k] = 0.0
                     drops += 1
                     continue
             if denom <= cut:
@@ -254,7 +252,7 @@ def _active_set(a, g, q, feas_target, support):
             h += np.multiply.outer(u, r, out=rank1)
             h[k] = h[:, k] = -u
             h[k, k] = 1.0 / denom
-            rows[k], grows[k], lam_w[k], idx[k] = row_p, v, lam_p, p
+            rows[k], lam_w[k], idx[k] = row_p, lam_p, p
             k += 1
             adds += 1
             break

@@ -85,9 +85,8 @@ class EnvelopeResult:
 
 def build_constraints(sig: PeriodicSignal, L: int, n: int) -> qp.QpProblem:
     """Assemble the ``n``-point constraint system for harmonic budget ``L``."""
-    L = int(L)
-    n = int(n)
     check_run(L, n)
+    L, n = int(L), int(n)
     t = np.arange(n) / n
     rows = phasor_matrix(L, t)
     rows.setflags(write=False)
@@ -157,8 +156,8 @@ def certify(
     least four times denser than ``max(L, 1) * n`` is recommended so dips
     between constraint phases are visible.
     """
-    grid_m = int(grid_m)
     check_run(subopt.L, grid_m=grid_m)
+    grid_m = int(grid_m)
     t = np.arange(grid_m) / grid_m
     margin = subopt.evaluate(t) - sig.value_at(t)
     min_margin = float(np.min(margin))
@@ -184,7 +183,7 @@ def approximate(
         raise ValueError(
             f"c_prime_mode must be one of {C_PRIME_MODES}, got {c_prime_mode!r}"
         )
-    check_run(int(L), int(n), int(grid_m))
+    check_run(L, n, grid_m)
     appopt, solution = solve_appopt(sig, L, n, initial_lam=initial_lam)
     c = sig.lipschitz_c
     if c_prime_mode == EXACT_POSTSOLVE:

@@ -22,6 +22,25 @@ def star_points(tips=STAR_TIPS, r_outer=STAR_OUTER, r_inner=STAR_INNER):
     return np.asarray(pts)
 
 
+def overhang_disk():
+    """Unit disk with a vertex every 2 degrees and a thin overhang: a
+    0.5-degree pocket under a 2-degree cap, all between rays 10 and 11 of 64
+    (at -123.75 and -118.125 degrees), so only rays through the cap cross
+    the boundary more than once."""
+
+    def polar(deg, r):
+        return (r * np.cos(np.deg2rad(deg)), r * np.sin(np.deg2rad(deg)))
+
+    left = [polar(a, 1.0) for a in np.arange(-180.0, -121.0, 2.0)]
+    right = [polar(a, 1.0) for a in np.arange(-118.0, 180.0, 2.0)]
+    bump = [
+        polar(-121.0, 1.0), polar(-121.0, 0.9), polar(-120.5, 0.9),
+        polar(-120.5, 1.2), polar(-121.5, 1.25), polar(-119.5, 1.3),
+        polar(-120.0, 1.0),
+    ]
+    return np.array(left + bump + right)
+
+
 def vertex_margins(envelope, contour):
     """Radial margin of ``envelope`` over each contour vertex, in the units of
     the radii, with angles taken from the contour centroid."""

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from envlp import qp, solver, write_polygon_csv, write_signal_csv
 from envlp.cli import SWEEP_COLUMNS, dumps, format_float, main
 from envlp.errors import NotConverged
 
-from conftest import star_points
+from conftest import overhang_disk, star_points
 
 
 @pytest.fixture()
@@ -133,6 +134,31 @@ class TestIngest:
         assert len(captured.out.split()) == 64
         assert "star_shaped" in captured.err
 
+    def test_sidecar_flags_overhang_between_rays(self, tmp_path):
+        poly = tmp_path / "overhang.csv"
+        write_polygon_csv(poly, overhang_disk())
+        out = tmp_path / "overhang_signal.csv"
+        assert main(["ingest", str(poly), "--samples", "64", "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "overhang_signal.json").read_text())
+        assert sidecar["star_shaped"] is False
+
+    def test_sample_cap_checked_before_casting(self, tmp_path, capsys):
+        poly = tmp_path / "square.csv"
+        write_polygon_csv(poly, [(0, 0), (1, 0), (1, 1), (0, 1)])
+        rc, peak = traced_peak(main, ["ingest", str(poly), "--samples", "1000001"])
+        assert rc == 1
+        assert "envlp: error:" in capsys.readouterr().err
+        assert peak < 4e6  # one float per ray would take 8 MB
+
+
+def traced_peak(func, *args):
+    """``func(*args)`` and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return func(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 def _cell(value) -> str:
     if isinstance(value, bool):
@@ -201,8 +227,9 @@ class TestSweep:
             ["--L", "65", "--n", "200"],
             ["--L", "1", "--n", "2000000"],
             ["--L", "1", "--n", "64", "--grid", "8"],
+            ["--L", "1", "--n", "64", "--grid", "1000001"],
         ],
-        ids=["L65", "n2e6", "grid8"],
+        ids=["L65", "n2e6", "grid8", "grid1e6+1"],
     )
     def test_invalid_run_rejected_before_solving(
         self, cos_csv, capsys, monkeypatch, command, flags
@@ -275,6 +302,33 @@ class TestCertify:
         result.write_text(json.dumps(edit(json.loads(result.read_text()))))
         assert main(["certify", str(result), cos_csv]) == 1
         assert "envlp: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "subopt",
+        [
+            '{"L": 1.7, "b0": 2.0, "b_re": [0.0], "b_im": [0.0]}',
+            '{"L": 1e400, "b0": 2.0, "b_re": [0.0], "b_im": [0.0]}',
+            '{"L": true, "b0": 2.0, "b_re": [0.0], "b_im": [0.0]}',
+            '{"L": 1, "b0": 2.0, "b_re": 0.5, "b_im": [[0.0]]}',
+            '{"L": 1, "b0": 2.0, "b_re": [[0.5]], "b_im": [0.0]}',
+        ],
+        ids=["L_fraction", "L_overflow", "L_bool", "coeff_scalar", "coeff_nested"],
+    )
+    def test_malformed_envelope_rejected(self, cos_csv, tmp_path, capsys, subopt):
+        result = tmp_path / "result.json"
+        result.write_text('{"subopt": ' + subopt + "}")
+        assert main(["certify", str(result), cos_csv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "envlp: error:" in captured.err
+
+    def test_grid_cap_checked_before_evaluating(self, cos_csv, tmp_path, capsys):
+        result = self._result_file(cos_csv, tmp_path)
+        capsys.readouterr()
+        rc, peak = traced_peak(main, ["certify", str(result), cos_csv, "--grid", "1000001"])
+        assert rc == 1
+        assert "envlp: error:" in capsys.readouterr().err
+        assert peak < 4e6  # one float per grid point would take 8 MB
 
 
 _SHARED_FLAGS = {

@@ -16,7 +16,7 @@ from envlp.contour import _BLOCK
 from envlp.errors import DegeneratePolygon, NoIntersection, NonpositiveRadius
 from envlp.fourier import FourierEnvelope
 
-from conftest import star_points, vertex_margins
+from conftest import overhang_disk, star_points, vertex_margins
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 NOTCHED = [
@@ -263,6 +263,39 @@ class TestRadialParametrize:
         assert np.array_equal(sig.samples, samples)
         assert sig.star_shaped is star_shaped
         assert star_shaped is (shape == "star")
+
+    @pytest.mark.parametrize("M", [64, 1000, 5001])
+    def test_overhang_between_rays_not_star(self, M):
+        contour = Contour.from_points(overhang_disk())
+        assert radial_parametrize(contour, M=M).star_shaped is False
+        # The rays see the overhang only once they are dense enough.
+        assert radial_reference(contour, M)[1] is (M == 64)
+
+    def test_star_flag_implies_single_crossings(self):
+        # A polygon star-shaped about its centroid meets every ray once.
+        flags = []
+        for pts in random_polygons(count=120, seed=21):
+            try:
+                contour = Contour.from_points(pts)
+                sig = radial_parametrize(contour, M=1000)
+            except (DegeneratePolygon, NoIntersection):
+                continue
+            flags.append(sig.star_shaped)
+            if sig.star_shaped:
+                assert radial_reference(contour, 1000)[1] is True
+        assert 10 <= sum(flags) <= len(flags) - 10
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-7, 1e-3, 1e4, 1e8])
+    def test_scaled_polygon_scales_samples(self, scale):
+        pts = star_points(tips=tuple(k / 20 for k in range(20)), r_inner=0.8)
+        base = Contour.from_points(pts)
+        contour = Contour.from_points(scale * pts)
+        np.testing.assert_allclose(
+            contour.centroid, scale * np.asarray(base.centroid), rtol=0, atol=1e-15 * scale
+        )
+        sig, ref = radial_parametrize(contour, M=256), radial_parametrize(base, M=256)
+        np.testing.assert_allclose(sig.samples, scale * ref.samples, rtol=1e-12)
+        assert sig.star_shaped is ref.star_shaped is True
 
     def test_minimum_sample_count(self):
         with pytest.raises(ValueError):

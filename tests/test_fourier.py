@@ -156,6 +156,23 @@ class TestValidation:
         with pytest.raises(error):
             _BUDGET_CHECKS[name](L)
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            {"L": 1.7}, {"L": np.inf}, {"L": True}, {"L": "1"},
+            {"L": 1, "n": 64.5}, {"L": 1, "n": np.nan}, {"L": 1, "n": np.True_},
+            {"L": 1, "grid_m": 8192.5}, {"L": 1, "grid_m": -np.inf},
+            {"L": 1, "grid_m": 10 ** 6 + 1},
+        ],
+        ids=repr,
+    )
+    def test_run_must_be_integral_and_capped(self, run):
+        with pytest.raises(ValueError):
+            check_run(**run)
+
+    def test_integral_floats_and_numpy_ints_pass(self):
+        check_run(2.0, np.int64(64), np.float64(8192.0))
+
     def test_budget_cap(self):
         with pytest.raises(BudgetTooLarge):
             FourierEnvelope(L=65, b0=0.0, b_re=np.zeros(65), b_im=np.zeros(65))

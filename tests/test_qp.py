@@ -223,6 +223,21 @@ class TestInvariances:
             tighter = extra.objective(solve(extra).x)
             assert tighter >= base - 1e-9
 
+    @pytest.mark.parametrize("scale", [1e-7, 1e-6, 1e-3, 1e3, 1e6])
+    @pytest.mark.parametrize("case", ["two rows", "star (4, 64)"])
+    def test_scaled_rows_scale_solution(self, case, scale, star_signal):
+        # Rows scaled by s give x / s and multipliers / s**2.
+        if case == "two rows":
+            rows = [[1.0, 0.5], [-0.5, 1.0]]
+            base = QpProblem(q_diag=[1.0, 2.0], a_rows=rows, g=[1.0, 1.0])
+        else:
+            base = build_constraints(star_signal, 4, 64)
+        ref = solve(base)
+        sol = solve(QpProblem(q_diag=base.q_diag, a_rows=scale * base.a_rows, g=base.g))
+        assert sol.converged
+        assert rel_diff(scale * sol.x, ref.x) <= 1e-12
+        assert rel_diff(scale * scale * sol.lam, ref.lam) <= 1e-12
+
     def test_warm_start_reaches_same_solution(self):
         rng = np.random.default_rng(12)
         p = random_feasible_problem(rng)
