@@ -18,6 +18,7 @@ from .contour import (
 from .fourier import (
     FourierEnvelope,
     apriori_derivative_bound,
+    grid_values,
     phasor_matrix,
     phasor_row,
 )
@@ -51,6 +52,7 @@ __all__ = [
     "errors",
     "fine_grid_opt",
     "gap_bound",
+    "grid_values",
     "kkt_residuals",
     "lift_to_envelope",
     "phasor_matrix",

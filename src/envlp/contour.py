@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegeneratePolygon, NoIntersection, NonpositiveRadius
-from .fourier import MAX_CONSTRAINTS, FourierEnvelope
+from .fourier import MAX_CONSTRAINTS, FourierEnvelope, _integral, grid_values
 from .signals import PeriodicSignal, data_lines, format_float
 
 _AREA_EPS = 1e-12
@@ -27,19 +27,32 @@ _BLOCK = 1 << 15
 
 
 def centroid(points) -> tuple[float, float]:
-    """Area-weighted centroid of a closed polygon (shoelace formula)."""
+    """Area-weighted centroid of a closed polygon (shoelace formula).
+
+    The cross terms are formed on coordinates relative to vertex 0, so the
+    area test and the result do not depend on where the polygon lies.
+    """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if pts.shape[0] < 3:
         raise DegeneratePolygon(f"polygon needs >= 3 vertices, got {pts.shape[0]}")
-    x, y = pts[:, 0], pts[:, 1]
+    rel = pts - pts[0]
+    x, y = rel[:, 0], rel[:, 1]
     xn, yn = np.roll(x, -1), np.roll(y, -1)
     cross = x * yn - xn * y
     area = 0.5 * float(np.sum(cross))
-    if abs(area) <= _AREA_EPS * float(np.max(np.abs(pts))) ** 2:
+    if abs(area) <= _AREA_EPS * float(np.max(np.abs(rel))) ** 2:
         raise DegeneratePolygon("polygon area is numerically zero")
-    cx = float(np.sum((x + xn) * cross) / (6.0 * area))
-    cy = float(np.sum((y + yn) * cross) / (6.0 * area))
+    cx = float(pts[0, 0] + np.sum((x + xn) * cross) / (6.0 * area))
+    cy = float(pts[0, 1] + np.sum((y + yn) * cross) / (6.0 * area))
     return cx, cy
+
+
+def _check_count(M, low: int, what: str) -> int:
+    """``M`` as an int after checking it is integral (``check_run``'s rule)
+    and in ``[low, MAX_CONSTRAINTS]``."""
+    if not _integral(M) or not low <= M <= MAX_CONSTRAINTS:
+        raise ValueError(f"need {low} to {MAX_CONSTRAINTS} {what}, got {M!r}")
+    return int(M)
 
 
 def _straddles(o1: np.ndarray, o2: np.ndarray) -> np.ndarray:
@@ -106,9 +119,7 @@ def radial_parametrize(contour: Contour, M: int = 1024) -> PeriodicSignal:
     ``star_shaped`` is read off the edges: True exactly when the polygon is
     star-shaped about its centroid, i.e. seen from there no edge turns back.
     """
-    M = int(M)
-    if not 64 <= M <= MAX_CONSTRAINTS:
-        raise ValueError(f"need 64 to {MAX_CONSTRAINTS} angular samples, got {M}")
+    M = _check_count(M, 64, "angular samples")
     p = contour.points
     e = np.roll(p, -1, axis=0) - p
     w = p - np.asarray(contour.centroid, dtype=float)
@@ -143,14 +154,15 @@ def reconstruct_region(
 ) -> np.ndarray:
     """Polygon traced by the envelope radii under the same angle convention.
 
-    ``centroid`` re-anchors the region in the plane it came from; the default
-    origin suits synthetic signals.
+    ``M`` is an integer in ``[3, MAX_CONSTRAINTS]``.  The radii at the ``M``
+    uniform angles come from one inverse real FFT
+    (:func:`fourier.grid_values`), exact for every ``M``.  ``centroid``
+    re-anchors the region in the plane it came from; the default origin
+    suits synthetic signals.
     """
-    M = int(M)
-    if M < 3:
-        raise ValueError(f"need at least 3 boundary points, got {M}")
+    M = _check_count(M, 3, "boundary points")
     t = np.arange(M) / M
-    radii = np.asarray(env.evaluate(t), dtype=float)
+    radii = grid_values(env.params(), M)
     if np.any(radii <= 0.0):
         raise NonpositiveRadius(
             f"envelope reaches {float(np.min(radii)):.6g} <= 0; "

@@ -21,8 +21,10 @@ from .errors import BudgetTooLarge, TooFewConstraints
 
 TWO_PI = 2.0 * np.pi
 
-# Direct per-harmonic cos/sin evaluation stays accurate for small degrees;
-# recurrences are not worth the error near active constraints.
+# The active-set pass keeps a dense inverse of order up to 2L+1, and each
+# constraint row it adds is formed by direct cos/sin of phases up to
+# 2*pi*L*t, whose rounding grows with L.  Values on uniform grids come from
+# one inverse real FFT (``grid_values``), whose accuracy does not rest on L.
 MAX_HARMONICS = 64
 
 MAX_CONSTRAINTS = 10 ** 6
@@ -172,7 +174,11 @@ def phasor_row(L: int, t: float) -> np.ndarray:
 def phasor_matrix(L: int, t: np.ndarray) -> np.ndarray:
     """Stack of :func:`phasor_row` values for an array of phases, one per row."""
     check_run(L)
-    t = np.asarray(t, dtype=float).reshape(-1)
+    return _phasor_rows(int(L), np.asarray(t, dtype=float).reshape(-1))
+
+
+def _phasor_rows(L: int, t: np.ndarray) -> np.ndarray:
+    """:func:`phasor_matrix` on a checked ``L`` and a 1-D float ``t``."""
     rows = np.empty((t.shape[0], 2 * L + 1))
     rows[:, 0] = 1.0
     ang = _phases(L, t)
@@ -181,6 +187,45 @@ def phasor_matrix(L: int, t: np.ndarray) -> np.ndarray:
     sin_part = np.sin(ang, out=rows[:, L + 1 :])
     sin_part *= -2.0
     return rows
+
+
+def grid_values(
+    params: np.ndarray, m: int, spectrum: np.ndarray | None = None
+) -> np.ndarray:
+    """Values at the ``m`` uniform phases ``j/m`` of the polynomial with
+    canonical parameters ``params``, from one inverse real FFT.
+
+    On that grid harmonic ``k`` coincides with harmonic ``k mod m``, so each
+    coefficient is folded onto the one-sided spectrum: bins above ``m/2``
+    take the conjugate, and a harmonic landing on DC or Nyquist, where the
+    inverse FFT keeps only the real part of one term, counts twice.  The
+    result is therefore exact for every ``m >= 1``, including ``m <= 2L``.
+
+    ``spectrum`` is an optional complex work array of length ``m//2 + 1``,
+    zero above bin ``L``; it is overwritten and stays fit to pass again with
+    the same ``L`` and ``m``, which saves a repeated caller the allocation.
+    """
+    params = np.asarray(params, dtype=float)
+    if params.ndim != 1 or params.shape[0] % 2 != 1:
+        raise ValueError(f"expected 2L+1 parameters, got shape {params.shape}")
+    if not _integral(m) or m < 1:
+        raise ValueError(f"grid must be a positive integer, got {m!r}")
+    L, m = (params.shape[0] - 1) // 2, int(m)
+    if spectrum is None:
+        spectrum = np.zeros(m // 2 + 1, dtype=complex)
+    z = params[1 : L + 1] + 1j * params[L + 1 :]
+    if 2 * L < m:
+        spectrum[0] = params[0]
+        spectrum[1 : L + 1] = z
+    else:
+        r = np.arange(1, L + 1) % m
+        upper = 2 * r > m
+        z = np.where(upper, z.conj(), z)
+        z[(r == 0) | (2 * r == m)] *= 2.0
+        spectrum[:] = 0.0
+        spectrum[0] = params[0]
+        np.add.at(spectrum, np.where(upper, m - r, r), z)
+    return np.fft.irfft(spectrum, m, norm="forward")
 
 
 def apriori_derivative_bound(L: int, sup_norm: float) -> float:

@@ -16,6 +16,14 @@ The problem is homogeneous in ``g``: ``(x, lam)`` solves it exactly when
 ``g / max|g|``, so all tolerances are relative to ``max|g|`` and scaled
 inputs give scaled results.  Each result is certified by a fresh
 recomputation of all KKT residuals against the caller's problem.
+
+The pass reads the constraints through two calls only, so a problem whose
+rows have structure need not store them: ``problem.rows(idx)`` returns the
+rows ``idx`` (an index gives one 1-D row, an index array a 2-D stack, as
+``a_rows[idx]`` would) and ``problem.matvec(x)`` returns ``A x`` for all
+``n`` rows.  Besides these a problem has ``q_diag``, ``g``, ``n`` and ``d``.
+:class:`QpProblem` implements both calls on dense rows; the envelope solver
+implements them on its uniform phase grid.
 """
 
 from __future__ import annotations
@@ -89,6 +97,14 @@ class QpProblem:
         x = np.asarray(x, dtype=float)
         return float(x @ (self.q_diag * x))
 
+    def rows(self, idx) -> np.ndarray:
+        """Constraint rows ``idx``: ``a_rows[idx]``."""
+        return self.a_rows[idx]
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """``A x`` over all rows."""
+        return self.a_rows @ x
+
 
 @dataclass(frozen=True, eq=False)
 class QpSolution:
@@ -114,22 +130,21 @@ class QpSolution:
     warm_rows: int = 0
 
 
-def _residuals(problem: QpProblem, x: np.ndarray, lam: np.ndarray):
-    """The four KKT residuals, then the summed complementarity."""
-    slack = problem.a_rows @ x - problem.g
+def _residuals(problem, x: np.ndarray, lam: np.ndarray):
+    """The four KKT residuals, then the summed complementarity.  ``A^T lam``
+    is formed from the rows with a nonzero multiplier only."""
+    slack = problem.matvec(x) - problem.g
     primal = float(max(0.0, -np.min(slack, initial=0.0)))
     dual = float(max(0.0, -np.min(lam, initial=0.0)))
     comp_terms = np.abs(lam * slack)
     comp = float(np.max(comp_terms, initial=0.0))
-    stat = float(
-        np.max(
-            np.abs(2.0 * problem.q_diag * x - problem.a_rows.T @ lam), initial=0.0
-        )
-    )
+    active = np.flatnonzero(lam)
+    grad = 2.0 * problem.q_diag * x - lam[active] @ problem.rows(active)
+    stat = float(np.max(np.abs(grad), initial=0.0))
     return primal, dual, comp, stat, float(np.sum(comp_terms))
 
 
-def kkt_residuals(problem: QpProblem, solution: QpSolution):
+def kkt_residuals(problem, solution: QpSolution):
     """Recompute all four KKT residuals from scratch.
 
     Returns ``(primal_violation, dual_violation, complementarity,
@@ -147,16 +162,16 @@ def kkt_residuals(problem: QpProblem, solution: QpSolution):
     return _residuals(problem, x, lam)[:4]
 
 
-def _seed(a, g, ginv, support):
+def _seed(problem, g, ginv, support):
     """``(N, H, mu)`` on the rows ``support``, or None.
 
     ``H`` inverts ``N G N^T`` and ``mu = H g_W``, so ``x = G N^T mu`` makes
     every row of ``support`` tight.  None unless there are at most ``d`` rows,
     each passes the add step's independence test, and ``mu >= 0``.
     """
-    if not 0 < support.size <= a.shape[1]:
+    if not 0 < support.size <= ginv.shape[0]:
         return None
-    rows = a[support]
+    rows = problem.rows(support)
     m = (rows * ginv) @ rows.T
     try:
         chol = np.linalg.cholesky(m)
@@ -171,8 +186,9 @@ def _seed(a, g, ginv, support):
     return (rows, h, mu) if np.all(mu >= 0.0) else None
 
 
-def _active_set(a, g, q, feas_target, support):
-    """One dual active-set pass on ``A x >= g``.
+def _active_set(problem, g, feas_target, support):
+    """One dual active-set pass on ``A x >= g``, with ``A`` and ``Q`` those of
+    ``problem`` and ``g`` given apart, so the pass can run on scaled data.
 
     Returns ``(x, lam, failure, adds, drops, warm_rows)``.  ``failure`` is
     None once every row holds to ``feas_target``; otherwise it says why the
@@ -187,12 +203,12 @@ def _active_set(a, g, q, feas_target, support):
     slot into the freed one.  Each direction takes one refinement step
     ``r += H (N z)``.  Both loops are capped.
     """
-    n, d = a.shape
-    ginv = 0.5 / q
+    n, d = problem.n, problem.d
+    ginv = 0.5 / problem.q_diag
     rows, h, rank1 = np.zeros((d, d)), np.zeros((d, d)), np.empty((d, d))
     lam_w, idx = np.zeros(d), np.zeros(d, dtype=np.intp)
     x = np.zeros(d)
-    seed = _seed(a, g, ginv, support)
+    seed = _seed(problem, g, ginv, support)
     k = warm_rows = 0 if seed is None else support.size
     if seed is not None:
         rows[:k], h[:k, :k], lam_w[:k] = seed
@@ -206,11 +222,11 @@ def _active_set(a, g, q, feas_target, support):
         return x, lam, failure, adds, drops, warm_rows
 
     for _outer in range(30 * (d + 1) + 100):
-        slack = a @ x - g
+        slack = problem.matvec(x) - g
         p = int(np.argmin(slack))
         if slack[p] >= -0.5 * feas_target:
             return result(None)
-        row_p = a[p]
+        row_p = problem.rows(p)
         v = ginv * row_p
         cut = _RANK_CUT * float(row_p @ v)
         lam_p = 0.0
@@ -261,8 +277,11 @@ def _active_set(a, g, q, feas_target, support):
     return result(f"no feasible point after {30 * (d + 1) + 100} rows added")
 
 
-def solve(problem: QpProblem, initial_lam: np.ndarray | None = None) -> QpSolution:
+def solve(problem, initial_lam: np.ndarray | None = None) -> QpSolution:
     """Minimize ``x^T Q x`` over ``A x >= g`` by one dual active-set pass.
+
+    ``problem`` is a :class:`QpProblem` or any object with ``q_diag``,
+    ``g``, ``n``, ``d``, ``rows`` and ``matvec`` (module docstring).
 
     The tolerances are fixed at ``TOL_FEAS`` and ``TOL_STAT``, relative to
     ``s = max|g|`` (``s = 1`` when ``g`` is zero): the returned solution has
@@ -292,13 +311,14 @@ def solve(problem: QpProblem, initial_lam: np.ndarray | None = None) -> QpSoluti
     s = float(np.max(np.abs(problem.g), initial=0.0)) or 1.0
     feas_target = _SAFETY * TOL_FEAS
     x, lam, failure, adds, drops, warm_rows = _active_set(
-        problem.a_rows, problem.g / s, problem.q_diag, feas_target, support
+        problem, problem.g / s, feas_target, support
     )
     x, lam = s * x, s * lam
     primal, dual, comp, stat, comp_sum = _residuals(problem, x, lam)
+    energy = float(x @ (problem.q_diag * x))
     converged = (
         primal <= feas_target * s
-        and comp_sum <= _SAFETY * TOL_STAT * (s * s + problem.objective(x))
+        and comp_sum <= _SAFETY * TOL_STAT * (s * s + energy)
         and stat <= 0.5 * TOL_STAT * s
     )
     solution = QpSolution(

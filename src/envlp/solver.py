@@ -19,8 +19,10 @@ from . import qp
 from .fourier import (  # MAX_CONSTRAINTS stays importable from here
     MAX_CONSTRAINTS,
     FourierEnvelope,
+    _phasor_rows,
     apriori_derivative_bound,
     check_run,
+    grid_values,
     phasor_matrix,
 )
 from .signals import PeriodicSignal
@@ -83,6 +85,13 @@ class EnvelopeResult:
         }
 
 
+def _q_diag(L: int) -> np.ndarray:
+    """Diagonal of ``Q``: the coefficient energy in the canonical layout."""
+    q_diag = np.full(2 * L + 1, 2.0)
+    q_diag[0] = 1.0
+    return q_diag
+
+
 def build_constraints(sig: PeriodicSignal, L: int, n: int) -> qp.QpProblem:
     """Assemble the ``n``-point constraint system for harmonic budget ``L``."""
     check_run(L, n)
@@ -90,10 +99,29 @@ def build_constraints(sig: PeriodicSignal, L: int, n: int) -> qp.QpProblem:
     t = np.arange(n) / n
     rows = phasor_matrix(L, t)
     rows.setflags(write=False)
-    g = sig.value_at(t)
-    q_diag = np.full(2 * L + 1, 2.0)
-    q_diag[0] = 1.0
-    return qp.QpProblem(q_diag=q_diag, a_rows=rows, g=g)
+    return qp.QpProblem(q_diag=_q_diag(L), a_rows=rows, g=sig.value_at(t))
+
+
+class _GridProblem:
+    """The system of :func:`build_constraints` without its ``n x (2L+1)``
+    matrix, for :func:`qp.solve`: row ``i`` is formed when asked for, bit
+    for bit as ``phasor_matrix`` forms it, and ``A x`` is the polynomial
+    with parameters ``x`` on the grid ``i/n``, one :func:`grid_values` call
+    into a spectrum buffer kept for the whole solve."""
+
+    def __init__(self, sig: PeriodicSignal, L: int, n: int):
+        self.L, self.n, self.d = L, n, 2 * L + 1
+        self.q_diag = _q_diag(L)
+        self.g = sig.value_at(np.arange(n) / n)
+        self._spectrum = np.zeros(n // 2 + 1, dtype=complex)
+
+    def rows(self, idx) -> np.ndarray:
+        idx = np.asarray(idx)
+        rows = _phasor_rows(self.L, idx.reshape(-1) / self.n)
+        return rows.reshape(idx.shape + (self.d,))
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return grid_values(x, self.n, self._spectrum)
 
 
 def solve_appopt(
@@ -105,9 +133,12 @@ def solve_appopt(
     """Solve the discretized problem; returns ``(envelope, qp_solution)``.
 
     The envelope lies above the signal at every grid phase ``i/n`` to solver
-    feasibility tolerance; between grid phases it may dip below.
+    feasibility tolerance; between grid phases it may dip below.  The
+    problem is that of :func:`build_constraints`, but its rows are formed
+    only as the active-set pass adds them, so memory stays O(n).
     """
-    problem = build_constraints(sig, L, n)
+    check_run(L, n)
+    problem = _GridProblem(sig, int(L), int(n))
     solution = qp.solve(problem, initial_lam=initial_lam)
     return FourierEnvelope.from_params(L, solution.x), solution
 
@@ -154,12 +185,14 @@ def certify(
     value of envelope minus signal over ``grid_m`` uniform phases; the check
     passes when ``min_margin >= -CERTIFY_TOL * sig.sup_norm()``.  A grid at
     least four times denser than ``max(L, 1) * n`` is recommended so dips
-    between constraint phases are visible.
+    between constraint phases are visible.  The envelope is evaluated on the
+    grid by one inverse real FFT (:func:`fourier.grid_values`), exact for
+    every grid size.
     """
     check_run(subopt.L, grid_m=grid_m)
     grid_m = int(grid_m)
     t = np.arange(grid_m) / grid_m
-    margin = subopt.evaluate(t) - sig.value_at(t)
+    margin = grid_values(subopt.params(), grid_m) - sig.value_at(t)
     min_margin = float(np.min(margin))
     return min_margin >= -CERTIFY_TOL * sig.sup_norm(), min_margin
 

@@ -150,6 +150,14 @@ class TestCentroid:
     def test_orientation_independent(self):
         assert centroid(UNIT_SQUARE[::-1]) == pytest.approx((0.5, 0.5), abs=1e-15)
 
+    @pytest.mark.parametrize("offset", [0.0, 1e-3, 5.0])
+    def test_small_polygon_far_from_origin(self, offset):
+        # At offset 5 the area was judged against 25 and rejected as zero.
+        contour = Contour.from_points(1e-7 * np.asarray(UNIT_SQUARE) + offset)
+        np.testing.assert_allclose(
+            contour.centroid, (offset + 0.5e-7, offset + 0.5e-7), rtol=0, atol=1e-14
+        )
+
 
 class TestContourValidation:
     def test_too_few_vertices(self):
@@ -302,12 +310,44 @@ class TestRadialParametrize:
             radial_parametrize(Contour.from_points(UNIT_SQUARE), M=32)
 
 
+_ENV = FourierEnvelope(L=2, b0=2.0, b_re=[0.1, 0.0], b_im=[0.0, 0.2])
+
+
+@pytest.mark.parametrize(
+    "M", [3.7, 100.7, "8", "100", True, np.nan, 10 ** 6 + 1], ids=repr
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda M: radial_parametrize(Contour.from_points(UNIT_SQUARE), M=M),
+        lambda M: reconstruct_region(_ENV, M=M),
+    ],
+    ids=["radial_parametrize", "reconstruct_region"],
+)
+def test_sample_count_integral_and_capped(call, M):
+    # Both used to truncate a fractional M and accept a numeric string, and
+    # reconstruct_region had no upper cap.
+    with pytest.raises(ValueError):
+        call(M)
+
+
 class TestReconstructRegion:
     def test_constant_envelope_cardinal_directions(self):
         env = FourierEnvelope(L=0, b0=2.0, b_re=[], b_im=[])
         pts = reconstruct_region(env, M=4)
         expected = [(-2, 0), (0, -2), (2, 0), (0, 2)]
         np.testing.assert_allclose(pts, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("M", [3, 4, 5, 64, 1000])
+    def test_radii_match_direct_evaluation(self, M):
+        # M = 3, 4 fold the second harmonic onto lower bins.
+        t = np.arange(M) / M
+        theta = -np.pi + 2.0 * np.pi * t
+        x, y = reconstruct_region(_ENV, M=M).T
+        np.testing.assert_allclose(np.hypot(x, y), _ENV.evaluate(t), rtol=1e-14)
+        np.testing.assert_allclose(
+            np.arctan2(y, x), np.arctan2(np.sin(theta), np.cos(theta)), atol=1e-12
+        )
 
     def test_nonpositive_radius(self):
         env = FourierEnvelope(L=0, b0=0.0, b_re=[], b_im=[])

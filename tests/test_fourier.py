@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from envlp import FourierEnvelope, apriori_derivative_bound, phasor_matrix, phasor_row
+from envlp import (
+    FourierEnvelope,
+    apriori_derivative_bound,
+    grid_values,
+    phasor_matrix,
+    phasor_row,
+)
 from envlp.errors import BudgetTooLarge
 from envlp.fourier import check_run
 
@@ -37,6 +43,42 @@ class TestEvaluate:
         np.testing.assert_allclose(
             env.evaluate(t), [env.evaluate(float(v)) for v in t], atol=1e-14
         )
+
+
+class TestGridValues:
+    @pytest.mark.parametrize("m", [1, 2, 3, 16, 25, 64, 127, 128, 129, 1000, 8192])
+    @pytest.mark.parametrize("L", [0, 1, 12, 64])
+    def test_matches_direct_evaluation(self, L, m):
+        # m <= 2L folds harmonics onto lower bins, DC and Nyquist included.
+        rng = np.random.default_rng(1009 * L + m)
+        env = FourierEnvelope(
+            L=L, b0=rng.normal(), b_re=rng.normal(size=L), b_im=rng.normal(size=L)
+        )
+        direct = env.evaluate(np.arange(m) / m)
+        scale = abs(env.b0) + 2.0 * float(np.sum(np.hypot(env.b_re, env.b_im)))
+        np.testing.assert_allclose(
+            grid_values(env.params(), m), direct, rtol=0, atol=1e-13 * scale
+        )
+
+    @pytest.mark.parametrize("L, m", [(3, 64), (12, 16)])
+    def test_reused_spectrum_buffer(self, L, m):
+        rng = np.random.default_rng(L)
+        spectrum = np.zeros(m // 2 + 1, dtype=complex)
+        for _ in range(3):
+            params = rng.normal(size=2 * L + 1)
+            np.testing.assert_array_equal(
+                grid_values(params, m, spectrum), grid_values(params, m)
+            )
+
+    @pytest.mark.parametrize(
+        "params, m",
+        [(np.ones(4), 8), (np.ones((3, 1)), 8), (np.ones(3), 0), (np.ones(3), 8.5),
+         (np.ones(3), True)],
+        ids=["even length", "2-D", "m=0", "m=8.5", "m=True"],
+    )
+    def test_rejects_bad_input(self, params, m):
+        with pytest.raises(ValueError):
+            grid_values(params, m)
 
 
 class TestEnergy:

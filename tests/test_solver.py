@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,15 @@ from envlp import (
     certify,
     fine_grid_opt,
     gap_bound,
+    kkt_residuals,
     lift_to_envelope,
+    solve,
     solve_appopt,
 )
 from envlp.errors import BudgetTooLarge, TooFewConstraints
 from envlp.fourier import FourierEnvelope
+from envlp.qp import TOL_FEAS, TOL_STAT
+from envlp.solver import _GridProblem
 
 from conftest import smooth_signal
 
@@ -105,6 +111,68 @@ class TestSolveAppopt:
         env, _ = solve_appopt(star_signal, L=2, n=32)
         t = np.arange(32) / 32
         assert np.all(env.evaluate(t) >= star_signal.value_at(t) - 1e-9)
+
+
+def _grid_case(name, star_signal):
+    """(signal, L, n) for the matrix-free solver's comparison cases."""
+    if name == "star":
+        return star_signal, 16, 256
+    if name == "five-point star":
+        u = np.mod(_T - 0.137, 1.0)
+        wedge = np.abs(np.mod(2 * np.pi * u, 0.4 * np.pi) - 0.2 * np.pi) / (0.2 * np.pi)
+        return PeriodicSignal.from_samples(1.0 / (1.0 + 0.4 * (1.0 - wedge))), 64, 1024
+    samples, L, n = SCALE_FAMILIES[name]
+    return PeriodicSignal.from_samples(samples), L, n
+
+
+class TestMatrixFreeSolve:
+    @pytest.mark.parametrize("L, n", [(0, 7), (5, 64), (12, 1000), (64, 16384)])
+    def test_rows_bit_equal_to_phasor_matrix(self, L, n, star_signal):
+        grid, dense = _GridProblem(star_signal, L, n), build_constraints(star_signal, L, n)
+        assert (grid.n, grid.d) == (dense.n, dense.d)
+        np.testing.assert_array_equal(grid.q_diag, dense.q_diag)
+        np.testing.assert_array_equal(grid.g, dense.g)
+        idx = np.random.default_rng(n).choice(n, size=min(n, 40), replace=False)
+        np.testing.assert_array_equal(grid.rows(idx), dense.rows(idx))
+        for i in idx[:4]:
+            np.testing.assert_array_equal(grid.rows(int(i)), dense.rows(int(i)))
+        x = np.random.default_rng(L).normal(size=dense.d)
+        np.testing.assert_allclose(
+            grid.matvec(x), dense.matvec(x), rtol=0, atol=1e-12 * np.sum(np.abs(x))
+        )
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "nested-warm"])
+    @pytest.mark.parametrize("name", ["star", "pulse", "square", "smooth", "five-point star"])
+    def test_matches_dense_solve(self, name, warm, star_signal):
+        sig, L, n = _grid_case(name, star_signal)
+        lam = None
+        if warm:
+            _, coarse = solve_appopt(sig, L, n)
+            lam = np.zeros(2 * n)
+            lam[::2] = coarse.lam
+            n *= 2
+        dense = build_constraints(sig, L, n)
+        ref = solve(dense, initial_lam=lam)
+        env, sol = solve_appopt(sig, L, n, initial_lam=lam)
+        assert sol.converged and ref.converged
+        assert np.max(np.abs(env.params() - ref.x)) <= 1e-12 * np.max(np.abs(ref.x))
+        assert sol.warm_rows == ref.warm_rows
+        s = float(np.max(np.abs(dense.g)))
+        primal, dual, comp, stat = kkt_residuals(dense, sol)
+        assert primal <= TOL_FEAS * s and dual == 0.0
+        assert comp <= TOL_STAT * s and stat <= TOL_STAT * s
+
+    def test_memory_stays_linear_in_n(self):
+        # The dense 2**16 x 129 constraint matrix alone is 67.6 MB.
+        sig, _, _ = _grid_case("smooth", None)
+        tracemalloc.start()
+        try:
+            result = approximate(sig, 64, 2 ** 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.certified
+        assert peak < 16e6
 
 
 class TestLift:
