@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegeneratePolygon, NoIntersection, NonpositiveRadius
-from .fourier import MAX_CONSTRAINTS, FourierEnvelope, _integral, grid_values
+from .fourier import FourierEnvelope, _check_count, _grid_values
 from .signals import PeriodicSignal, data_lines, format_float
 
 _AREA_EPS = 1e-12
@@ -45,14 +45,6 @@ def centroid(points) -> tuple[float, float]:
     cx = float(pts[0, 0] + np.sum((x + xn) * cross) / (6.0 * area))
     cy = float(pts[0, 1] + np.sum((y + yn) * cross) / (6.0 * area))
     return cx, cy
-
-
-def _check_count(M, low: int, what: str) -> int:
-    """``M`` as an int after checking it is integral (``check_run``'s rule)
-    and in ``[low, MAX_CONSTRAINTS]``."""
-    if not _integral(M) or not low <= M <= MAX_CONSTRAINTS:
-        raise ValueError(f"need {low} to {MAX_CONSTRAINTS} {what}, got {M!r}")
-    return int(M)
 
 
 def _straddles(o1: np.ndarray, o2: np.ndarray) -> np.ndarray:
@@ -119,7 +111,7 @@ def radial_parametrize(contour: Contour, M: int = 1024) -> PeriodicSignal:
     ``star_shaped`` is read off the edges: True exactly when the polygon is
     star-shaped about its centroid, i.e. seen from there no edge turns back.
     """
-    M = _check_count(M, 64, "angular samples")
+    M = _check_count(M, 64, "M")
     p = contour.points
     e = np.roll(p, -1, axis=0) - p
     w = p - np.asarray(contour.centroid, dtype=float)
@@ -160,9 +152,9 @@ def reconstruct_region(
     re-anchors the region in the plane it came from; the default origin
     suits synthetic signals.
     """
-    M = _check_count(M, 3, "boundary points")
+    M = _check_count(M, 3, "M")
     t = np.arange(M) / M
-    radii = grid_values(env.params(), M)
+    radii = _grid_values(env.params(), M)
     if np.any(radii <= 0.0):
         raise NonpositiveRadius(
             f"envelope reaches {float(np.min(radii)):.6g} <= 0; "

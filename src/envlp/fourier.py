@@ -39,6 +39,17 @@ def _integral(value) -> bool:
     return isinstance(value, (float, np.floating)) and float(value).is_integer()
 
 
+def _check_count(value, low: int, what: str) -> int:
+    """``value`` as an int after checking it is integral (see :func:`_integral`)
+    and in ``[low, MAX_CONSTRAINTS]``: the one range check for every count of
+    constraints, grid points or samples."""
+    if not _integral(value) or not low <= value <= MAX_CONSTRAINTS:
+        raise ValueError(
+            f"{what} must be an integer from {low} to {MAX_CONSTRAINTS}, got {value!r}"
+        )
+    return int(value)
+
+
 def check_run(L: int, n: int | None = None, grid_m: int | None = None) -> None:
     """Validate a harmonic budget, constraint count and certification grid.
 
@@ -48,22 +59,18 @@ def check_run(L: int, n: int | None = None, grid_m: int | None = None) -> None:
     because with fewer than ``2L+1`` rows the polynomial between grid points
     is uncontrolled; ``grid_m`` (when given) in ``[16, MAX_CONSTRAINTS]``.
     """
-    for name, value in (("harmonic budget", L), ("n", n), ("grid", grid_m)):
-        if value is not None and not _integral(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not _integral(L):
+        raise ValueError(f"harmonic budget must be an integer, got {L!r}")
     if L < 0:
         raise ValueError(f"harmonic budget must be nonnegative, got {L}")
     if L > MAX_HARMONICS:
         raise BudgetTooLarge(f"harmonic budget {L} exceeds maximum {MAX_HARMONICS}")
     if n is not None:
-        if n < 2 * L + 1:
+        if _integral(n) and n < 2 * L + 1:
             raise TooFewConstraints(f"need n >= 2L+1 = {2 * L + 1}, got n={n}")
-        if n > MAX_CONSTRAINTS:
-            raise ValueError(f"n={n} exceeds the supported maximum {MAX_CONSTRAINTS}")
-    if grid_m is not None and not 16 <= grid_m <= MAX_CONSTRAINTS:
-        raise ValueError(
-            f"certification grid must have 16 to {MAX_CONSTRAINTS} points, got {grid_m}"
-        )
+        _check_count(n, 2 * L + 1, "n")
+    if grid_m is not None:
+        _check_count(grid_m, 16, "certification grid")
 
 
 def _phases(L: int, t: np.ndarray) -> np.ndarray:
@@ -189,9 +196,7 @@ def _phasor_rows(L: int, t: np.ndarray) -> np.ndarray:
     return rows
 
 
-def grid_values(
-    params: np.ndarray, m: int, spectrum: np.ndarray | None = None
-) -> np.ndarray:
+def grid_values(params: np.ndarray, m: int) -> np.ndarray:
     """Values at the ``m`` uniform phases ``j/m`` of the polynomial with
     canonical parameters ``params``, from one inverse real FFT.
 
@@ -199,31 +204,29 @@ def grid_values(
     coefficient is folded onto the one-sided spectrum: bins above ``m/2``
     take the conjugate, and a harmonic landing on DC or Nyquist, where the
     inverse FFT keeps only the real part of one term, counts twice.  The
-    result is therefore exact for every ``m >= 1``, including ``m <= 2L``.
-
-    ``spectrum`` is an optional complex work array of length ``m//2 + 1``,
-    zero above bin ``L``; it is overwritten and stays fit to pass again with
-    the same ``L`` and ``m``, which saves a repeated caller the allocation.
+    result is therefore exact for every ``m`` in ``[1, MAX_CONSTRAINTS]``,
+    including ``m <= 2L``.
     """
     params = np.asarray(params, dtype=float)
     if params.ndim != 1 or params.shape[0] % 2 != 1:
         raise ValueError(f"expected 2L+1 parameters, got shape {params.shape}")
-    if not _integral(m) or m < 1:
-        raise ValueError(f"grid must be a positive integer, got {m!r}")
-    L, m = (params.shape[0] - 1) // 2, int(m)
-    if spectrum is None:
-        spectrum = np.zeros(m // 2 + 1, dtype=complex)
+    return _grid_values(params, _check_count(m, 1, "grid"))
+
+
+def _grid_values(params: np.ndarray, m: int) -> np.ndarray:
+    """:func:`grid_values` on a 1-D float ``params`` of odd length and a
+    checked int ``m``."""
+    L = (params.shape[0] - 1) // 2
+    spectrum = np.zeros(m // 2 + 1, dtype=complex)
+    spectrum[0] = params[0]
     z = params[1 : L + 1] + 1j * params[L + 1 :]
     if 2 * L < m:
-        spectrum[0] = params[0]
         spectrum[1 : L + 1] = z
     else:
         r = np.arange(1, L + 1) % m
         upper = 2 * r > m
         z = np.where(upper, z.conj(), z)
         z[(r == 0) | (2 * r == m)] *= 2.0
-        spectrum[:] = 0.0
-        spectrum[0] = params[0]
         np.add.at(spectrum, np.where(upper, m - r, r), z)
     return np.fft.irfft(spectrum, m, norm="forward")
 

@@ -45,6 +45,15 @@ _SAFETY = 0.1
 
 _RANK_CUT = 1e-12
 
+# Rows per block when ``A^T lam`` is formed from the rows with a nonzero
+# multiplier, so an audit of a dense ``lam`` never copies all ``n`` rows.
+_ROW_BLOCK = 4096
+
+
+def _energy(q_diag: np.ndarray, x: np.ndarray) -> float:
+    """The objective ``x^T Q x``."""
+    return float(x @ (q_diag * x))
+
 
 @dataclass(frozen=True, eq=False)
 class QpProblem:
@@ -94,8 +103,7 @@ class QpProblem:
         return self.q_diag.shape[0]
 
     def objective(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(x @ (self.q_diag * x))
+        return _energy(self.q_diag, np.asarray(x, dtype=float))
 
     def rows(self, idx) -> np.ndarray:
         """Constraint rows ``idx``: ``a_rows[idx]``."""
@@ -132,14 +140,18 @@ class QpSolution:
 
 def _residuals(problem, x: np.ndarray, lam: np.ndarray):
     """The four KKT residuals, then the summed complementarity.  ``A^T lam``
-    is formed from the rows with a nonzero multiplier only."""
+    is formed from the rows with a nonzero multiplier only, ``_ROW_BLOCK``
+    rows at a time."""
     slack = problem.matvec(x) - problem.g
     primal = float(max(0.0, -np.min(slack, initial=0.0)))
     dual = float(max(0.0, -np.min(lam, initial=0.0)))
     comp_terms = np.abs(lam * slack)
     comp = float(np.max(comp_terms, initial=0.0))
     active = np.flatnonzero(lam)
-    grad = 2.0 * problem.q_diag * x - lam[active] @ problem.rows(active)
+    grad = 2.0 * problem.q_diag * x
+    for b in range(0, active.size, _ROW_BLOCK):
+        block = active[b : b + _ROW_BLOCK]
+        grad -= lam[block] @ problem.rows(block)
     stat = float(np.max(np.abs(grad), initial=0.0))
     return primal, dual, comp, stat, float(np.sum(comp_terms))
 
@@ -315,7 +327,7 @@ def solve(problem, initial_lam: np.ndarray | None = None) -> QpSolution:
     )
     x, lam = s * x, s * lam
     primal, dual, comp, stat, comp_sum = _residuals(problem, x, lam)
-    energy = float(x @ (problem.q_diag * x))
+    energy = _energy(problem.q_diag, x)
     converged = (
         primal <= feas_target * s
         and comp_sum <= _SAFETY * TOL_STAT * (s * s + energy)

@@ -19,10 +19,10 @@ from . import qp
 from .fourier import (  # MAX_CONSTRAINTS stays importable from here
     MAX_CONSTRAINTS,
     FourierEnvelope,
+    _grid_values,
     _phasor_rows,
     apriori_derivative_bound,
     check_run,
-    grid_values,
     phasor_matrix,
 )
 from .signals import PeriodicSignal
@@ -106,8 +106,13 @@ class _GridProblem:
     """The system of :func:`build_constraints` without its ``n x (2L+1)``
     matrix, for :func:`qp.solve`: row ``i`` is formed when asked for, bit
     for bit as ``phasor_matrix`` forms it, and ``A x`` is the polynomial
-    with parameters ``x`` on the grid ``i/n``, one :func:`grid_values` call
-    into a spectrum buffer kept for the whole solve."""
+    with parameters ``x`` on the grid ``i/n``, bit for bit as
+    :func:`fourier.grid_values` forms it.
+
+    Since ``n >= 2L+1`` no harmonic folds, so ``A x`` writes bins ``0..L``
+    of one spectrum kept zero above bin ``L`` for the whole solve, which
+    measured faster than a fresh spectrum per product.
+    """
 
     def __init__(self, sig: PeriodicSignal, L: int, n: int):
         self.L, self.n, self.d = L, n, 2 * L + 1
@@ -121,7 +126,10 @@ class _GridProblem:
         return rows.reshape(idx.shape + (self.d,))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return grid_values(x, self.n, self._spectrum)
+        L, spectrum = self.L, self._spectrum
+        spectrum[0] = x[0]
+        spectrum[1 : L + 1] = x[1 : L + 1] + 1j * x[L + 1 :]
+        return np.fft.irfft(spectrum, self.n, norm="forward")
 
 
 def solve_appopt(
@@ -192,7 +200,7 @@ def certify(
     check_run(subopt.L, grid_m=grid_m)
     grid_m = int(grid_m)
     t = np.arange(grid_m) / grid_m
-    margin = grid_values(subopt.params(), grid_m) - sig.value_at(t)
+    margin = _grid_values(subopt.params(), grid_m) - sig.value_at(t)
     min_margin = float(np.min(margin))
     return min_margin >= -CERTIFY_TOL * sig.sup_norm(), min_margin
 

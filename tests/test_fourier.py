@@ -60,21 +60,11 @@ class TestGridValues:
             grid_values(env.params(), m), direct, rtol=0, atol=1e-13 * scale
         )
 
-    @pytest.mark.parametrize("L, m", [(3, 64), (12, 16)])
-    def test_reused_spectrum_buffer(self, L, m):
-        rng = np.random.default_rng(L)
-        spectrum = np.zeros(m // 2 + 1, dtype=complex)
-        for _ in range(3):
-            params = rng.normal(size=2 * L + 1)
-            np.testing.assert_array_equal(
-                grid_values(params, m, spectrum), grid_values(params, m)
-            )
-
     @pytest.mark.parametrize(
         "params, m",
         [(np.ones(4), 8), (np.ones((3, 1)), 8), (np.ones(3), 0), (np.ones(3), 8.5),
-         (np.ones(3), True)],
-        ids=["even length", "2-D", "m=0", "m=8.5", "m=True"],
+         (np.ones(3), True), (np.ones(3), 10 ** 6 + 1)],
+        ids=["even length", "2-D", "m=0", "m=8.5", "m=True", "m=1e6+1"],
     )
     def test_rejects_bad_input(self, params, m):
         with pytest.raises(ValueError):

@@ -158,6 +158,26 @@ class TestKktResiduals:
         with pytest.raises(DimensionMismatch):
             kkt_residuals(p, s)
 
+    def test_dense_multipliers_over_several_row_blocks(self):
+        # 10000 rows with every multiplier nonzero span three blocks of A^T lam.
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(10000, 5))
+        p = QpProblem(q_diag=np.full(5, 2.0), a_rows=a, g=np.zeros(10000))
+        x, lam = rng.normal(size=5), rng.uniform(0.5, 1.0, size=10000)
+        s = QpSolution(
+            x=x,
+            lam=lam,
+            iterations=0,
+            converged=False,
+            primal_violation=0.0,
+            dual_violation=0.0,
+            complementarity=0.0,
+            stationarity=0.0,
+        )
+        stat = kkt_residuals(p, s)[3]
+        expected = np.max(np.abs(4.0 * x - a.T @ lam))
+        assert stat == pytest.approx(expected, rel=1e-12)
+
 
 class TestConvergedCertificates:
     def test_residuals_recompute_below_tolerance(self):

@@ -16,7 +16,7 @@ from envlp import (
     solve_appopt,
 )
 from envlp.errors import BudgetTooLarge, TooFewConstraints
-from envlp.fourier import FourierEnvelope
+from envlp.fourier import FourierEnvelope, grid_values
 from envlp.qp import TOL_FEAS, TOL_STAT
 from envlp.solver import _GridProblem
 
@@ -136,10 +136,13 @@ class TestMatrixFreeSolve:
         np.testing.assert_array_equal(grid.rows(idx), dense.rows(idx))
         for i in idx[:4]:
             np.testing.assert_array_equal(grid.rows(int(i)), dense.rows(int(i)))
-        x = np.random.default_rng(L).normal(size=dense.d)
-        np.testing.assert_allclose(
-            grid.matvec(x), dense.matvec(x), rtol=0, atol=1e-12 * np.sum(np.abs(x))
-        )
+        rng = np.random.default_rng(L)
+        for _ in range(3):  # the spectrum buffer is reused from call to call
+            x = rng.normal(size=dense.d)
+            np.testing.assert_array_equal(grid.matvec(x), grid_values(x, n))
+            np.testing.assert_allclose(
+                grid.matvec(x), dense.matvec(x), rtol=0, atol=1e-12 * np.sum(np.abs(x))
+            )
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "nested-warm"])
     @pytest.mark.parametrize("name", ["star", "pulse", "square", "smooth", "five-point star"])
