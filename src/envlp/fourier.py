@@ -73,12 +73,6 @@ def check_run(L: int, n: int | None = None, grid_m: int | None = None) -> None:
         _check_count(grid_m, 16, "certification grid")
 
 
-def _phases(L: int, t: np.ndarray) -> np.ndarray:
-    """Phases ``2*pi*k*t`` for ``k = 1..L``, shape ``t.shape + (L,)``.  Callers
-    take cos and sin one at a time, so at most one such temporary is alive."""
-    return TWO_PI * np.multiply.outer(t, np.arange(1, L + 1, dtype=float))
-
-
 @dataclass(frozen=True, eq=False)
 class FourierEnvelope:
     """Bandlimited real trigonometric polynomial of degree ``L``.
@@ -131,11 +125,12 @@ class FourierEnvelope:
         return np.concatenate(([self.b0], self.b_re, self.b_im))
 
     def evaluate(self, t):
-        """Value of the polynomial at phase ``t`` (scalar or array, period 1)."""
+        """Value of the polynomial at phase ``t`` (scalar or array, period 1):
+        the phasor rows of ``t`` times :meth:`params`.  On ``m`` uniform
+        phases :func:`grid_values` is faster."""
         t_arr = np.asarray(t, dtype=float)
-        ang = _phases(self.L, t_arr)
-        out = self.b0 + 2.0 * (np.cos(ang) @ self.b_re - np.sin(ang) @ self.b_im)
-        return float(out) if t_arr.ndim == 0 else out
+        out = _phasor_rows(self.L, t_arr.reshape(-1)) @ self.params()
+        return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
     def energy(self) -> float:
         """Sum of squared complex coefficients, equal to the mean-square value
@@ -162,10 +157,13 @@ class FourierEnvelope:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FourierEnvelope":
+        """Inverse of :meth:`to_dict`; each coefficient must be a JSON number."""
         try:
-            b0 = float(payload["b0"])
-            return cls(L=payload["L"], b0=b0, b_re=payload["b_re"], b_im=payload["b_im"])
-        except (KeyError, TypeError) as exc:
+            b0, b_re, b_im = payload["b0"], payload["b_re"], payload["b_im"]
+            if not all(type(v) in (int, float) for v in (b0, *b_re, *b_im)):
+                raise TypeError("coefficients must be numbers, not bools, strings or null")
+            return cls(L=payload["L"], b0=b0, b_re=b_re, b_im=b_im)
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed envelope payload: {exc!r}") from exc
 
 
@@ -185,10 +183,12 @@ def phasor_matrix(L: int, t: np.ndarray) -> np.ndarray:
 
 
 def _phasor_rows(L: int, t: np.ndarray) -> np.ndarray:
-    """:func:`phasor_matrix` on a checked ``L`` and a 1-D float ``t``."""
+    """:func:`phasor_matrix` on a checked ``L`` and a 1-D float ``t``: the one
+    direct cos/sin kernel.  Besides the rows, one ``T x L`` temporary of
+    phases ``2*pi*k*t`` is alive; cos and sin are written into the rows."""
     rows = np.empty((t.shape[0], 2 * L + 1))
     rows[:, 0] = 1.0
-    ang = _phases(L, t)
+    ang = TWO_PI * np.multiply.outer(t, np.arange(1, L + 1, dtype=float))
     cos_part = np.cos(ang, out=rows[:, 1 : L + 1])
     cos_part *= 2.0
     sin_part = np.sin(ang, out=rows[:, L + 1 :])
@@ -217,12 +217,14 @@ def _grid_values(params: np.ndarray, m: int) -> np.ndarray:
     """:func:`grid_values` on a 1-D float ``params`` of odd length and a
     checked int ``m``."""
     L = (params.shape[0] - 1) // 2
-    spectrum = np.zeros(m // 2 + 1, dtype=complex)
-    spectrum[0] = params[0]
     z = params[1 : L + 1] + 1j * params[L + 1 :]
     if 2 * L < m:
-        spectrum[1 : L + 1] = z
+        # No harmonic folds: irfft pads bins above L with zeros, so no m/2+1-bin
+        # spectrum is zeroed per call (that page-faulted on every QP matvec).
+        spectrum = np.concatenate(([params[0]], z))
     else:
+        spectrum = np.zeros(m // 2 + 1, dtype=complex)
+        spectrum[0] = params[0]
         r = np.arange(1, L + 1) % m
         upper = 2 * r > m
         z = np.where(upper, z.conj(), z)
@@ -240,6 +242,6 @@ def apriori_derivative_bound(L: int, sup_norm: float) -> float:
     The ``sqrt(2L+1)`` factor comes from Cauchy-Schwarz on the coefficient sum.
     """
     check_run(L)
-    if sup_norm < 0:
-        raise ValueError(f"sup_norm must be nonnegative, got {sup_norm}")
+    if not 0 <= sup_norm < np.inf:
+        raise ValueError(f"sup_norm must be finite and nonnegative, got {sup_norm}")
     return float(TWO_PI * L * np.sqrt(2.0 * L + 1.0) * sup_norm)

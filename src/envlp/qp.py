@@ -69,16 +69,16 @@ class QpProblem:
     def __post_init__(self):
         q = np.array(self.q_diag, dtype=float).reshape(-1)
         a = np.asarray(self.a_rows, dtype=float)
-        if a.ndim != 2:
-            a = a.reshape(-1, q.shape[0]) if a.size else a.reshape(0, q.shape[0])
+        if a.ndim != 2 and a.size == 0:
+            a = a.reshape(0, q.shape[0])
         if a.flags.writeable:
             a = a.copy()
         g = np.array(self.g, dtype=float).reshape(-1)
         if np.any(q <= 0):
             raise ValueError("all q_diag entries must be positive")
-        if a.shape[1] != q.shape[0]:
+        if a.ndim != 2 or a.shape[1] != q.shape[0]:
             raise DimensionMismatch(
-                f"rows have length {a.shape[1]} but q_diag has length {q.shape[0]}"
+                f"a_rows has shape {a.shape} but q_diag has length {q.shape[0]}"
             )
         if g.shape[0] != a.shape[0]:
             raise DimensionMismatch(

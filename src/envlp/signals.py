@@ -91,8 +91,8 @@ class PeriodicSignal:
             provenance = ESTIMATED
         else:
             c = float(lipschitz_c)
-            if c < 0:
-                raise LipschitzTooSmall(f"slope bound must be nonnegative, got {c}")
+            if not 0 <= c < np.inf:
+                raise LipschitzTooSmall(f"slope bound must be finite and nonnegative, got {c}")
             if c < observed * (1.0 - _SLOPE_SLACK):
                 raise LipschitzTooSmall(
                     f"slope bound {c} is below the observed discrete slope {observed}"

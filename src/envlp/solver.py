@@ -106,19 +106,14 @@ class _GridProblem:
     """The system of :func:`build_constraints` without its ``n x (2L+1)``
     matrix, for :func:`qp.solve`: row ``i`` is formed when asked for, bit
     for bit as ``phasor_matrix`` forms it, and ``A x`` is the polynomial
-    with parameters ``x`` on the grid ``i/n``, bit for bit as
-    :func:`fourier.grid_values` forms it.
-
-    Since ``n >= 2L+1`` no harmonic folds, so ``A x`` writes bins ``0..L``
-    of one spectrum kept zero above bin ``L`` for the whole solve, which
-    measured faster than a fresh spectrum per product.
+    with parameters ``x`` on the grid ``i/n``, by the one inverse real FFT
+    of :func:`fourier.grid_values`.
     """
 
     def __init__(self, sig: PeriodicSignal, L: int, n: int):
         self.L, self.n, self.d = L, n, 2 * L + 1
         self.q_diag = _q_diag(L)
         self.g = sig.value_at(np.arange(n) / n)
-        self._spectrum = np.zeros(n // 2 + 1, dtype=complex)
 
     def rows(self, idx) -> np.ndarray:
         idx = np.asarray(idx)
@@ -126,10 +121,7 @@ class _GridProblem:
         return rows.reshape(idx.shape + (self.d,))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        L, spectrum = self.L, self._spectrum
-        spectrum[0] = x[0]
-        spectrum[1 : L + 1] = x[1 : L + 1] + 1j * x[L + 1 :]
-        return np.fft.irfft(spectrum, self.n, norm="forward")
+        return _grid_values(x, self.n)
 
 
 def solve_appopt(
@@ -151,12 +143,13 @@ def solve_appopt(
     return FourierEnvelope.from_params(L, solution.x), solution
 
 
-def _lift_delta(c: float, c_prime: float, n: int) -> float:
-    """The DC lift ``(c + c')/n`` after checking ``c, c' >= 0`` and ``n >= 1``."""
-    if c < 0 or c_prime < 0:
-        raise ValueError("slope bounds must be nonnegative")
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+def _lift_delta(appopt: FourierEnvelope, c: float, c_prime: float, n: int) -> float:
+    """The DC lift ``(c + c')/n`` after checking that ``c`` and ``c'`` are
+    finite and nonnegative and that ``n`` passes :func:`check_run` for the
+    budget of ``appopt``."""
+    if not (0 <= c < np.inf and 0 <= c_prime < np.inf):
+        raise ValueError(f"slope bounds must be finite and nonnegative, got {c} and {c_prime}")
+    check_run(appopt.L, n)
     return (c + c_prime) / n
 
 
@@ -164,7 +157,7 @@ def lift_to_envelope(
     appopt: FourierEnvelope, c: float, c_prime: float, n: int
 ) -> FourierEnvelope:
     """Add ``(c + c')/n`` to the DC coefficient; harmonics are untouched."""
-    delta = _lift_delta(c, c_prime, n)
+    delta = _lift_delta(appopt, c, c_prime, n)
     return FourierEnvelope(
         L=appopt.L, b0=appopt.b0 + delta, b_re=appopt.b_re, b_im=appopt.b_im
     )
@@ -178,7 +171,7 @@ def gap_bound(appopt: FourierEnvelope, c: float, c_prime: float, n: int) -> floa
     is never negative (it equals half the multiplier sum), so the bound is
     nonnegative as well.
     """
-    delta = _lift_delta(c, c_prime, n)
+    delta = _lift_delta(appopt, c, c_prime, n)
     return float(2.0 * appopt.b0 * delta + delta * delta)
 
 

@@ -228,8 +228,9 @@ class TestSweep:
             ["--L", "1", "--n", "2000000"],
             ["--L", "1", "--n", "64", "--grid", "8"],
             ["--L", "1", "--n", "64", "--grid", "1000001"],
+            ["--L", "1", "--n", "64", "--lipschitz", "nan"],
         ],
-        ids=["L65", "n2e6", "grid8", "grid1e6+1"],
+        ids=["L65", "n2e6", "grid8", "grid1e6+1", "lipschitz_nan"],
     )
     def test_invalid_run_rejected_before_solving(
         self, cos_csv, capsys, monkeypatch, command, flags

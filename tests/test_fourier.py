@@ -166,8 +166,9 @@ class TestAprioriBound:
     def test_rejects_negative_inputs(self):
         with pytest.raises(ValueError):
             apriori_derivative_bound(-1, 1.0)
-        with pytest.raises(ValueError):
-            apriori_derivative_bound(1, -0.5)
+        for sup_norm in (-0.5, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                apriori_derivative_bound(1, sup_norm)
 
 
 _BUDGET_CHECKS = {
@@ -233,6 +234,21 @@ class TestValidation:
     def test_dict_length_mismatch(self):
         with pytest.raises(ValueError):
             FourierEnvelope.from_dict({"L": 2, "b0": 0.0, "b_re": [1.0], "b_im": [0.0, 0.0]})
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            {"b0": "1.5", "b_re": ["0.5"], "b_im": [0]},
+            {"b0": True, "b_re": [0.5], "b_im": [0]},
+            {"b0": 1.0, "b_re": [None], "b_im": [0]},
+            {"b0": 1.0, "b_re": [0.5], "b_im": [False]},
+            {"b0": 1.0, "b_re": [10 ** 400], "b_im": [0]},
+        ],
+        ids=["string", "bool_b0", "null", "bool_b_im", "int_overflow"],
+    )
+    def test_dict_coefficients_must_be_numbers(self, coeffs):
+        with pytest.raises(ValueError, match="^malformed envelope payload"):
+            FourierEnvelope.from_dict({"L": 1, **coeffs})
 
     def test_coefficients_are_frozen(self):
         env = FourierEnvelope(L=1, b0=0.0, b_re=[1.0], b_im=[0.0])

@@ -77,7 +77,7 @@ def residual_calls(monkeypatch):
     return calls
 
 
-class TestColdStartCheck:
+class TestStartFromZero:
     @pytest.mark.parametrize("g", [[-1.0, -2.0], [0.0, 0.0], [-1.0, 1e-11]])
     def test_zero_returned_when_it_converges(self, g, residual_calls):
         # max(g) <= 0.05 * TOL_FEAS * max|g|: the pass takes no step from x = 0.
@@ -90,7 +90,7 @@ class TestColdStartCheck:
         assert len(residual_calls) == 1
 
     @pytest.mark.parametrize("g", [[3.0, -1.0], [-1.0, 2e-10]])
-    def test_check_skipped_when_zero_cannot_converge(self, g, residual_calls):
+    def test_pass_steps_when_zero_is_infeasible(self, g, residual_calls):
         sol = solve(QpProblem(q_diag=[1.0, 2.0], a_rows=np.eye(2), g=g))
         assert sol.iterations == 1 and sol.converged
         np.testing.assert_allclose(sol.x, np.maximum(g, 0.0), rtol=1e-12)
@@ -439,6 +439,11 @@ class TestFailureModes:
             QpProblem(q_diag=[1.0, 2.0], a_rows=[[1.0]], g=[0.0])
         with pytest.raises(DimensionMismatch):
             QpProblem(q_diag=[1.0], a_rows=[[1.0]], g=[0.0, 1.0])
+        # Rows are never reshaped: only a 2-D array, or an empty one, is taken.
+        for rows, g in ((np.ones((2, 1, 2)), [0.0, 0.0]), (np.ones(2), [0.0]), (np.ones(3), [0.0])):
+            with pytest.raises(DimensionMismatch):
+                QpProblem(q_diag=[1.0, 2.0], a_rows=rows, g=g)
+        assert QpProblem(q_diag=[1.0, 2.0], a_rows=[], g=[]).a_rows.shape == (0, 2)
         with pytest.raises(ValueError):
             QpProblem(q_diag=[0.0], a_rows=[[1.0]], g=[0.0])
 

@@ -32,6 +32,11 @@ class TestFromSamples:
         with pytest.raises(LipschitzTooSmall):
             PeriodicSignal.from_samples(values, lipschitz_c=1.0)
 
+    @pytest.mark.parametrize("c", [np.nan, np.inf])
+    def test_non_finite_user_slope_rejected(self, c):
+        with pytest.raises(LipschitzTooSmall):
+            PeriodicSignal.from_samples([0.0, 1.0, 0.0, -1.0], lipschitz_c=c)
+
     @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e8])
     @pytest.mark.parametrize("ratio", [0.5, 1 - 1e-12])
     def test_slope_check_is_scale_free(self, scale, ratio):

@@ -137,7 +137,7 @@ class TestMatrixFreeSolve:
         for i in idx[:4]:
             np.testing.assert_array_equal(grid.rows(int(i)), dense.rows(int(i)))
         rng = np.random.default_rng(L)
-        for _ in range(3):  # the spectrum buffer is reused from call to call
+        for _ in range(3):
             x = rng.normal(size=dense.d)
             np.testing.assert_array_equal(grid.matvec(x), grid_values(x, n))
             np.testing.assert_allclose(
@@ -200,7 +200,11 @@ class TestLift:
     @pytest.mark.parametrize("func", [lift_to_envelope, gap_bound], ids=lambda f: f.__name__)
     def test_rejects_negative_bounds(self, func):
         appopt = FourierEnvelope(L=0, b0=1.0, b_re=[], b_im=[])
-        for c, c_prime, n in ((-1.0, 0.0, 10), (0.0, -5.0, 64), (1.0, 1.0, 0)):
+        for c, c_prime, n in (
+            (-1.0, 0.0, 10), (0.0, -5.0, 64), (1.0, 1.0, 0),
+            (np.nan, 1.0, 64), (np.inf, 1.0, 64), (1.0, np.nan, 64), (1.0, np.inf, 64),
+            (1.0, 1.0, 2.5), (1.0, 1.0, True),
+        ):
             with pytest.raises(ValueError):
                 func(appopt, c, c_prime, n)
 
