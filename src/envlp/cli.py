@@ -125,14 +125,8 @@ def cmd_ingest(args) -> int:
 def _sweep_rows(sig: PeriodicSignal, args):
     """One result dict per (L, n) pair, L-major; failures become error rows."""
     rows = []
-    warm: dict[int, tuple[int, np.ndarray]] = {}
+    warm: dict[int, np.ndarray] = {}
     for L, n in product(args.L, args.n):
-        initial_lam = None
-        if L in warm:
-            n_prev, lam_prev = warm[L]
-            if n_prev < n and n % n_prev == 0:
-                initial_lam = np.zeros(n)
-                initial_lam[:: n // n_prev] = lam_prev
         try:
             result = solver.approximate(
                 sig,
@@ -140,12 +134,12 @@ def _sweep_rows(sig: PeriodicSignal, args):
                 n=n,
                 c_prime_mode=_CPRIME_FLAGS[args.cprime_mode],
                 grid_m=args.grid,
-                initial_lam=initial_lam,
+                initial_lam=warm.get(L),
             )
         except (EnvelopeError, ValueError) as exc:
             rows.append({"L": L, "n": n, "error": str(exc)})
             continue
-        warm[L] = (n, result.solver_diag.lam)
+        warm[L] = result.solver_diag.lam
         rows.append(result.to_dict())
     return rows
 

@@ -115,6 +115,8 @@ class FourierEnvelope:
     @classmethod
     def from_params(cls, L: int, params: np.ndarray) -> "FourierEnvelope":
         """Build from a parameter vector in the canonical layout."""
+        check_run(L)
+        L = int(L)
         params = np.asarray(params, dtype=float).reshape(-1)
         if params.shape != (2 * L + 1,):
             raise ValueError(f"expected {2 * L + 1} parameters, got {params.shape[0]}")

@@ -124,6 +124,15 @@ class _GridProblem:
         return _grid_values(x, self.n)
 
 
+def _seed_on_grid(initial_lam, n: int) -> np.ndarray:
+    """Mark row ``(i*n + m//2) // m mod n``, the phase ``j/n`` nearest ``i/m``,
+    for each positive entry ``i`` of ``initial_lam``, ``m = len(initial_lam)``."""
+    lam = np.asarray([] if initial_lam is None else initial_lam, dtype=float).reshape(-1)
+    seed = np.zeros(n)
+    seed[(np.flatnonzero(lam > 0.0) * n + lam.size // 2) // lam.size % n] = 1.0
+    return seed
+
+
 def solve_appopt(
     sig: PeriodicSignal,
     L: int,
@@ -136,10 +145,17 @@ def solve_appopt(
     feasibility tolerance; between grid phases it may dip below.  The
     problem is that of :func:`build_constraints`, but its rows are formed
     only as the active-set pass adds them, so memory stays O(n).
+
+    ``initial_lam`` may be the multipliers ``lam`` of a run of the same
+    signal on any grid ``i/m``, ``m = len(initial_lam)``: the pass starts
+    from their active phases rounded onto the grid ``i/n``.  Only where the
+    entries are positive matters, so ``None``, an empty array, or one with
+    no positive entry (all zero, negative or NaN) starts cold.
     """
     check_run(L, n)
-    problem = _GridProblem(sig, int(L), int(n))
-    solution = qp.solve(problem, initial_lam=initial_lam)
+    L, n = int(L), int(n)
+    problem = _GridProblem(sig, L, n)
+    solution = qp.solve(problem, initial_lam=_seed_on_grid(initial_lam, n))
     return FourierEnvelope.from_params(L, solution.x), solution
 
 
@@ -211,7 +227,8 @@ def approximate(
     ``c_prime_mode`` selects the envelope slope bound: ``exact_postsolve``
     (default; computed from the realized coefficients, tighter) or
     ``apriori`` (available before solving, reproduces the original
-    construction).
+    construction).  ``initial_lam`` is a warm start as in
+    :func:`solve_appopt`: the multipliers of a run on any grid.
     """
     if c_prime_mode not in C_PRIME_MODES:
         raise ValueError(

@@ -8,7 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from envlp import qp, solver, write_polygon_csv, write_signal_csv
+from envlp import (
+    FourierEnvelope,
+    PeriodicSignal,
+    qp,
+    read_signal_csv,
+    solver,
+    write_polygon_csv,
+    write_signal_csv,
+)
 from envlp.cli import SWEEP_COLUMNS, dumps, format_float, main
 from envlp.errors import NotConverged
 
@@ -181,6 +189,35 @@ class TestSweep:
         assert rc == 0
         costs = [row["cost_appopt"] for row in rows]
         assert all(b <= a + 1e-9 for a, b in zip(costs, costs[1:]))
+
+    @pytest.mark.parametrize("n_list", [[48, 64, 96], [1024, 64, 32]])
+    def test_unnested_grids_warm_start_and_match_cold(
+        self, star_csv, capsys, monkeypatch, n_list
+    ):
+        sig = PeriodicSignal.from_samples(read_signal_csv(star_csv))
+        cold = {(L, n): solver.approximate(sig, L, n) for L in (1, 5) for n in n_list}
+        warm_rows = []
+        real = qp.solve
+
+        def recording(problem, initial_lam=None):
+            solution = real(problem, initial_lam=initial_lam)
+            warm_rows.append(solution.warm_rows)
+            return solution
+
+        monkeypatch.setattr(qp, "solve", recording)
+        flags = ["--L", "1,5", "--n", ",".join(map(str, n_list))]
+        assert main(["sweep", star_csv, *flags]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert warm_rows[0] == warm_rows[3] == 0
+        assert min(warm_rows[1:3] + warm_rows[4:]) > 0
+        for row in rows:
+            ref = cold[row["L"], row["n"]]
+            assert row["solver"]["converged"]
+            params = FourierEnvelope.from_dict(row["appopt"]).params()
+            expected = ref.appopt.params()
+            assert np.max(np.abs(params - expected)) <= 1e-9 * np.max(np.abs(expected))
+            for key in ("cost_appopt", "cost_subopt", "gap_bound"):
+                assert row[key] == pytest.approx(getattr(ref, key), rel=1e-9)
 
     def test_empty_n_list(self, cos_csv, capsys):
         assert main(["sweep", cos_csv, "--L", "1", "--n", ""]) == 1

@@ -221,10 +221,11 @@ class TestValidation:
     def test_params_roundtrip(self):
         rng = np.random.default_rng(31)
         env = random_envelope(rng)
-        again = FourierEnvelope.from_params(env.L, env.params())
-        assert again.b0 == env.b0
-        np.testing.assert_array_equal(again.b_re, env.b_re)
-        np.testing.assert_array_equal(again.b_im, env.b_im)
+        for L in (env.L, float(env.L)):
+            again = FourierEnvelope.from_params(L, env.params())
+            assert again.b0 == env.b0
+            np.testing.assert_array_equal(again.b_re, env.b_re)
+            np.testing.assert_array_equal(again.b_im, env.b_im)
 
     def test_dict_roundtrip(self):
         env = FourierEnvelope(L=2, b0=0.25, b_re=[0.5, -0.125], b_im=[0.0, 2.0])

@@ -22,20 +22,36 @@ class TestFromSamples:
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
             PeriodicSignal.from_samples([0.0, 1.0])
+        with pytest.raises(TooFewSamples, match="at least 4 samples, got 2"):
+            PeriodicSignal(samples=[0.0, 1.0], lipschitz_c=4.0, c_provenance="user_supplied")
 
     def test_non_finite(self):
         with pytest.raises(NonFiniteSample):
             PeriodicSignal.from_samples([0.0, np.inf, 0.0, 0.0])
+        with pytest.raises(NonFiniteSample):
+            PeriodicSignal.from_samples([np.inf, np.inf, 0.0, 0.0])
+        samples = [np.nan] + [1.0] * 7
+        with pytest.raises(NonFiniteSample):
+            PeriodicSignal(samples=samples, lipschitz_c=1.0, c_provenance="user_supplied")
+
+    def test_unknown_provenance_rejected(self):
+        with pytest.raises(ValueError, match="c_provenance"):
+            PeriodicSignal(samples=[0.0, 1.0, 0.0, -1.0], lipschitz_c=4.0, c_provenance="x")
 
     def test_user_slope_below_observed_rejected(self):
         values = [0.0, 1.0, 0.0, -1.0]
         with pytest.raises(LipschitzTooSmall):
             PeriodicSignal.from_samples(values, lipschitz_c=1.0)
+        with pytest.raises(LipschitzTooSmall, match="below the observed"):
+            PeriodicSignal(samples=values, lipschitz_c=1.0, c_provenance="estimated")
 
     @pytest.mark.parametrize("c", [np.nan, np.inf])
     def test_non_finite_user_slope_rejected(self, c):
+        values = [0.0, 1.0, 0.0, -1.0]
         with pytest.raises(LipschitzTooSmall):
-            PeriodicSignal.from_samples([0.0, 1.0, 0.0, -1.0], lipschitz_c=c)
+            PeriodicSignal.from_samples(values, lipschitz_c=c)
+        with pytest.raises(LipschitzTooSmall, match="finite and nonnegative"):
+            PeriodicSignal(samples=values, lipschitz_c=c, c_provenance="user_supplied")
 
     @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e8])
     @pytest.mark.parametrize("ratio", [0.5, 1 - 1e-12])

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from envlp import (
 from envlp.errors import BudgetTooLarge, TooFewConstraints
 from envlp.fourier import FourierEnvelope, grid_values
 from envlp.qp import TOL_FEAS, TOL_STAT
-from envlp.solver import _GridProblem
+from envlp.solver import _GridProblem, _seed_on_grid
 
 from conftest import smooth_signal
 
@@ -148,15 +149,18 @@ class TestMatrixFreeSolve:
     @pytest.mark.parametrize("name", ["star", "pulse", "square", "smooth", "five-point star"])
     def test_matches_dense_solve(self, name, warm, star_signal):
         sig, L, n = _grid_case(name, star_signal)
-        lam = None
+        coarse_lam = lam = None
         if warm:
-            _, coarse = solve_appopt(sig, L, n)
+            # solve_appopt rounds the coarse multipliers onto the finer grid;
+            # the dense reference gets them mapped by hand (grid i/n is the
+            # even rows of i/2n).
+            coarse_lam = solve_appopt(sig, L, n)[1].lam
             lam = np.zeros(2 * n)
-            lam[::2] = coarse.lam
+            lam[::2] = coarse_lam
             n *= 2
         dense = build_constraints(sig, L, n)
         ref = solve(dense, initial_lam=lam)
-        env, sol = solve_appopt(sig, L, n, initial_lam=lam)
+        env, sol = solve_appopt(sig, L, n, initial_lam=coarse_lam)
         assert sol.converged and ref.converged
         assert np.max(np.abs(env.params() - ref.x)) <= 1e-12 * np.max(np.abs(ref.x))
         assert sol.warm_rows == ref.warm_rows
@@ -164,6 +168,34 @@ class TestMatrixFreeSolve:
         primal, dual, comp, stat = kkt_residuals(dense, sol)
         assert primal <= TOL_FEAS * s and dual == 0.0
         assert comp <= TOL_STAT * s and stat <= TOL_STAT * s
+
+    @pytest.mark.parametrize(
+        "lam",
+        [np.empty(0), np.zeros(7), np.full(5, np.nan), -np.ones(3)],
+        ids=["empty", "zeros", "nan", "negative"],
+    )
+    def test_no_positive_multiplier_starts_cold(self, lam, star_signal):
+        cold_env, _ = solve_appopt(star_signal, 8, 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            env, sol = solve_appopt(star_signal, 8, 64, initial_lam=lam)
+        assert sol.converged and sol.warm_rows == 0
+        np.testing.assert_array_equal(env.params(), cold_env.params())
+
+    @pytest.mark.parametrize(
+        "m, n", [(64, 64), (32, 128), (48, 64), (1024, 32), (33, 65), (65, 33), (7, 1000)]
+    )
+    def test_active_phases_round_to_nearest_rows(self, m, n):
+        lam = np.random.default_rng(m * n).uniform(-1.0, 1.0, m)
+        active = np.flatnonzero(lam > 0.0)
+        rows = np.flatnonzero(_seed_on_grid(lam, n))
+        # Distance in cells of 1/n from each active phase i/m to each row j/n.
+        dist = np.abs((active[:, None] / m - np.arange(n) / n + 0.5) % 1.0 - 0.5) * n
+        nearest = dist <= dist.min(axis=1, keepdims=True) + 1e-9
+        assert np.all(nearest[:, rows].any(axis=1))  # every phase seeds a nearest row
+        assert np.all(nearest[:, rows].any(axis=0))  # every seeded row is one
+        if n % m == 0:
+            np.testing.assert_array_equal(rows, active * (n // m))
 
     def test_memory_stays_linear_in_n(self):
         # The dense 2**16 x 129 constraint matrix alone is 67.6 MB.
@@ -304,7 +336,7 @@ class TestApproximate:
             approximate(cos_signal, L=1, n=64, c_prime_mode="postsolve")
 
     def test_lift_identity_exact(self, star_signal):
-        for L, n in ((1, 16), (2, 64), (3, 128)):
+        for L, n in ((1, 16), (2, 64), (3, 128), (8.0, 64)):
             res = approximate(star_signal, L=L, n=n)
             delta = (res.c + res.c_prime) / n
             identity = 2 * res.appopt.b0 * delta + delta ** 2
