@@ -17,9 +17,9 @@ from itertools import product
 import numpy as np
 
 from . import solver
-from .contour import Contour, radial_parametrize, read_polygon_csv
+from .contour import _MIN_RAYS, Contour, radial_parametrize, read_polygon_csv
 from .errors import EnvelopeError
-from .fourier import FourierEnvelope
+from .fourier import FourierEnvelope, _check_count
 from .signals import PeriodicSignal, format_float, read_signal_csv, write_signal_csv
 
 EXIT_OK = 0
@@ -105,6 +105,7 @@ def cmd_ingest(args) -> int:
     # The sidecar goes to the --out path with a .json extension.
     if args.out and os.path.splitext(args.out)[1].lower() == ".json":
         raise ValueError(f"--out {args.out!r} is the path of its own .json sidecar")
+    _check_count(args.samples, _MIN_RAYS, "--samples")
     contour = Contour.from_points(read_polygon_csv(args.polygon_csv))
     sig = radial_parametrize(contour, M=args.samples)
     sidecar = {

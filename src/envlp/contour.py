@@ -22,7 +22,8 @@ from .signals import PeriodicSignal, data_lines, format_float
 
 _AREA_EPS = 1e-12
 _RAY_EPS = 1e-12
-# Elements per temporary array in the blocked crossing and ray kernels.
+_MIN_RAYS = 64
+# Pairs per chunk in the edge-pair and ray-edge kernels.
 _BLOCK = 1 << 15
 
 
@@ -52,33 +53,74 @@ def _straddles(o1: np.ndarray, o2: np.ndarray) -> np.ndarray:
     return ((o1 > 0) != (o2 > 0)) & (o1 != 0) & (o2 != 0)
 
 
+def _pairs(counts: np.ndarray):
+    """Every ``(k, offset)`` with ``0 <= offset < counts[k]``, in chunks of
+    about ``_BLOCK`` pairs: owner array and offset array per chunk."""
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    total = int(ends[-1])
+    for a in range(0, total, _BLOCK):
+        b = min(a + _BLOCK, total)
+        k0, k1 = np.searchsorted(ends, [a, b - 1], side="right")
+        owners = np.arange(k0, k1 + 1)
+        k = np.repeat(owners, np.minimum(ends[owners], b) - np.maximum(starts[owners], a))
+        yield k, np.arange(a, b) - starts[k]
+
+
+def _edge_pairs(pts: np.ndarray):
+    """Chunks ``(a, b)`` of the non-adjacent edge pairs whose closed bounding
+    boxes overlap, the only pairs that can cross; each pair once, in either
+    order.
+
+    Edges are sorted by their left end; each is paired with the later edges
+    whose left end is at most its right end, found by binary search.
+    """
+    m = pts.shape[0]
+    x, y = pts[:, 0], pts[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    x_lo, x_hi = np.minimum(x, xn), np.maximum(x, xn)
+    y_lo, y_hi = np.minimum(y, yn), np.maximum(y, yn)
+    order = np.argsort(x_lo, kind="stable")
+    reach = np.searchsorted(x_lo[order], x_hi[order], side="right")
+    for k, offset in _pairs(reach - np.arange(m) - 1):
+        a, b = order[k], order[k + 1 + offset]
+        # |a - b| = m - 1 only for the wrap pair (0, m - 1), which shares vertex 0.
+        apart = np.abs(a - b)
+        keep = np.flatnonzero(
+            (apart >= 2) & (apart < m - 1) & (y_lo[a] <= y_hi[b]) & (y_lo[b] <= y_hi[a])
+        )
+        yield a[keep], b[keep]
+
+
 def _check_simple(pts: np.ndarray) -> None:
     """Raise for the first pair ``i < j`` of non-adjacent edges that cross.
 
     Edge ``i`` runs from vertex ``i`` to ``i + 1``; a pair crosses when each
-    edge strictly straddles the other.  Blocks of edges ``i`` are tested
-    against all edges ``j >= i + 2`` at once.
+    edge strictly straddles the other.  Only pairs whose bounding boxes
+    overlap are tested (:func:`_edge_pairs`), and the first crossing in
+    ``(i, j)`` order is kept across chunks.
     """
     m = pts.shape[0]
     x, y = pts[:, 0], pts[:, 1]
-    ex, ey = np.roll(x, -1) - x, np.roll(y, -1) - y
-    step = max(1, _BLOCK // m)
-    for i0 in range(0, m - 2, step):
-        i1 = min(i0 + step, m - 2)
-        i, j, v = slice(i0, i1), slice(i0 + 2, m), slice(i0, i1 + 1)
-        # Vertices i, i + 1 against edges j; vertices j, j + 1 against edges i.
-        oj = ex[j] * (y[v, None] - y[j]) - ey[j] * (x[v, None] - x[j])
-        xj, yj = np.append(x[j], x[0]), np.append(y[j], y[0])
-        oi = ex[i, None] * (yj - y[i, None]) - ey[i, None] * (xj - x[i, None])
-        cross = _straddles(oj[:-1], oj[1:]) & _straddles(oi[:, :-1], oi[:, 1:])
-        cross = np.triu(cross)  # column c is edge i0 + 2 + c: keep j >= i + 2
-        if i0 == 0:
-            cross[0, -1] = False  # edges 0 and m - 1 share vertex 0
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    ex, ey = xn - x, yn - y
+    first = m * m  # i * m + j of the first crossing found so far
+    for a, b in _edge_pairs(pts):
+        # Vertices a, a + 1 against edge b, then, where they straddle it,
+        # vertices b, b + 1 against edge a.
+        o1 = ex[b] * (y[a] - y[b]) - ey[b] * (x[a] - x[b])
+        o2 = ex[b] * (yn[a] - y[b]) - ey[b] * (xn[a] - x[b])
+        half = np.flatnonzero(_straddles(o1, o2))
+        a, b = a[half], b[half]
+        o3 = ex[a] * (y[b] - y[a]) - ey[a] * (x[b] - x[a])
+        o4 = ex[a] * (yn[b] - y[a]) - ey[a] * (xn[b] - x[a])
+        cross = _straddles(o3, o4)
         if cross.any():
-            r, c = divmod(int(np.argmax(cross)), cross.shape[1])
-            raise DegeneratePolygon(
-                f"polygon edges {i0 + r} and {i0 + 2 + c} cross each other"
-            )
+            a, b = a[cross], b[cross]
+            first = min(first, int(np.min(np.minimum(a, b) * m + np.maximum(a, b))))
+    if first < m * m:
+        i, j = divmod(first, m)
+        raise DegeneratePolygon(f"polygon edges {i} and {j} cross each other")
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +133,9 @@ class Contour:
     @classmethod
     def from_points(cls, points) -> "Contour":
         """Validated contour: at least 3 finite vertices, nonzero area and no
-        two non-adjacent edges crossing, checked by a blocked array scan."""
+        two non-adjacent edges crossing, checked on the pairs whose bounding
+        boxes overlap (found by sorting the edges by x) in chunks; the first
+        crossing pair in ``(i, j)`` order is reported."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         if not np.all(np.isfinite(pts)):
             raise DegeneratePolygon("polygon vertices must be finite")
@@ -106,31 +150,50 @@ def radial_parametrize(contour: Contour, M: int = 1024) -> PeriodicSignal:
     """Radial signal of the contour on ``M`` uniform angles.
 
     Sample ``j`` is the boundary distance along angle ``-pi + 2*pi*j/M`` from
-    the centroid, the farthest where a ray crosses more than once; rays are
-    cast in blocks, so memory stays bounded for any ``M`` and vertex count.
+    the centroid, the farthest where a ray crosses more than once.  Each edge
+    is cast only against the rays its angular span from the centroid covers,
+    plus one ray and a rounding slack on each side, so a hit is never missed
+    and the cost is O(V + M) for a star-shaped polygon; pairs are formed in
+    chunks, so memory stays bounded for any ``M`` and vertex count.
     ``star_shaped`` is read off the edges: True exactly when the polygon is
     star-shaped about its centroid, i.e. seen from there no edge turns back.
     """
-    M = _check_count(M, 64, "M")
-    p = contour.points
-    e = np.roll(p, -1, axis=0) - p
-    w = p - np.asarray(contour.centroid, dtype=float)
-    s_num = w[:, 0] * e[:, 1] - w[:, 1] * e[:, 0]
-    e_len, w_len = np.hypot(e[:, 0], e[:, 1]), np.hypot(w[:, 0], w[:, 1])
+    M = _check_count(M, _MIN_RAYS, "M")
+    px, py = contour.points[:, 0], contour.points[:, 1]
+    ex, ey = np.roll(px, -1) - px, np.roll(py, -1) - py
+    wx, wy = px - contour.centroid[0], py - contour.centroid[1]
+    s_num = wx * ey - wy * ex
+    e_len, w_len = np.hypot(ex, ey), np.hypot(wx, wy)
+    tol = _RAY_EPS * e_len
     s_min = _RAY_EPS * float(np.max(w_len))
     theta = -np.pi + 2.0 * np.pi * np.arange(M) / M
-    dx, dy = np.cos(theta)[:, None], np.sin(theta)[:, None]
-    far = np.empty(M)
-    step = max(1, _BLOCK // p.shape[0])
-    for j0 in range(0, M, step):
-        rays = slice(j0, j0 + step)
-        denom = dx[rays] * e[:, 1] - dy[rays] * e[:, 0]
-        ok = np.abs(denom) > _RAY_EPS * e_len
+    dx, dy = np.cos(theta), np.sin(theta)
+    # Span of edge i in ray units: from the angle of w_i, signed like s_num
+    # (the cross product of w_i and w_i + e_i).  A hit may lie up to
+    # _RAY_EPS * |e| before vertex i, and rounding moves it about
+    # 1e-15 * (|w| + |e|) off the edge; seen from the centroid, which is at
+    # least |s_num| / |e| from the edge's line, both stay within the slack.
+    # An edge whose line passes through the centroid gets every ray.
+    per_rad = M / (2.0 * np.pi)
+    start = (np.arctan2(wy, wx) + np.pi) * per_rad
+    end = start + np.arctan2(s_num, wx * (wx + ex) + wy * (wy + ey)) * per_rad
+    slack = 10.0 * _RAY_EPS * (w_len + e_len) * e_len
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slack = np.where(slack > 0.0, slack / np.abs(s_num), 0.0)
+    pad = 1.0 + np.minimum(slack * per_rad, M)
+    lo = np.floor(np.minimum(start, end) - pad).astype(np.int64)
+    hi = np.ceil(np.maximum(start, end) + pad).astype(np.int64)
+    far = np.full(M, -np.inf)
+    for i, offset in _pairs(np.minimum(hi - lo + 1, M)):
+        j = (lo[i] + offset) % M
+        cx, cy = dx[j], dy[j]
+        denom = cx * ey[i] - cy * ex[i]
+        ok = np.abs(denom) > tol[i]
         denom = np.where(ok, denom, 1.0)
-        s = s_num / denom
-        u = (w[:, 0] * dy[rays] - w[:, 1] * dx[rays]) / denom
+        s = s_num[i] / denom
+        u = (wx[i] * cy - wy[i] * cx) / denom
         hit = ok & (s > s_min) & (u >= -_RAY_EPS) & (u < 1.0 - _RAY_EPS)
-        far[rays] = np.max(np.where(hit, s, -np.inf), axis=1)
+        np.maximum.at(far, j[hit], s[hit])
     missed = np.flatnonzero(far == -np.inf)
     if missed.size:
         raise NoIntersection(

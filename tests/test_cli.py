@@ -158,6 +158,16 @@ class TestIngest:
         assert "envlp: error:" in capsys.readouterr().err
         assert peak < 4e6  # one float per ray would take 8 MB
 
+    @pytest.mark.parametrize("samples", ["10", "1000001"])
+    def test_sample_count_error_names_the_flag(self, tmp_path, capsys, samples):
+        # The message used to name the library's parameter M instead.
+        poly = tmp_path / "square.csv"
+        write_polygon_csv(poly, [(0, 0), (1, 0), (1, 1), (0, 1)])
+        assert main(["ingest", str(poly), "--samples", samples]) == 1
+        assert capsys.readouterr().err == (
+            f"envlp: error: --samples must be an integer from 64 to 1000000, got {samples}\n"
+        )
+
 
 def traced_peak(func, *args):
     """``func(*args)`` and the peak of memory traced while it ran."""

@@ -12,7 +12,8 @@ from envlp import (
     reconstruct_region,
     write_polygon_csv,
 )
-from envlp.contour import _BLOCK
+from envlp import contour as contour_module
+from envlp.contour import _edge_pairs
 from envlp.errors import DegeneratePolygon, NoIntersection, NonpositiveRadius
 from envlp.fourier import FourierEnvelope
 
@@ -33,7 +34,7 @@ def regular_polygon(radius, sides, center=(0.0, 0.0)):
 
 
 def crossing_reference(points):
-    """Per-pair reference for the blocked crossing scan of
+    """Per-pair reference for the pruned crossing scan of
     ``Contour.from_points``: the message for the first crossing pair in
     ``(i, j)`` order, else None."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
@@ -68,7 +69,7 @@ def crossing_message(points):
 
 
 def radial_reference(contour, M):
-    """Per-ray reference for the blocked kernel of ``radial_parametrize``:
+    """Per-ray reference for the span-indexed kernel of ``radial_parametrize``:
     ``(samples, star_shaped)``, or the message for the first ray that misses."""
     origin = np.asarray(contour.centroid, dtype=float)
     p = contour.points
@@ -123,15 +124,114 @@ def random_polygons(count=200, seed=20):
     return out
 
 
-def mushroom(per_edge=50):
-    """Non-star cap on a stem, with every edge split into ``per_edge`` parts."""
-    corners = np.array(
-        [(-0.25, -1.0), (0.25, -1.0), (0.25, 0.5), (1.0, 0.5),
-         (1.0, 1.0), (-1.0, 1.0), (-1.0, 0.5), (-0.25, 0.5)]
-    )
+def large_random_polygons(count=16, seed=22):
+    """Seeded self-intersecting polygons of 100 to 2000 vertices whose first
+    crossing has a small ``i``, so the per-pair reference stops early: point
+    clouds (half of them snapped to a half-unit grid) and jagged stars with
+    one of their first eight vertices pushed out through the centroid."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        v = int(np.exp(rng.uniform(np.log(100), np.log(2000))))
+        if len(out) % 2:
+            pts = rng.normal(size=(v, 2))
+            if len(out) % 4 == 1:
+                pts = np.round(2.0 * pts) / 2.0
+        else:
+            theta = np.sort(rng.uniform(-np.pi, np.pi, v))
+            pts = rng.uniform(0.3, 1.0, v)[:, None] * np.column_stack(
+                (np.cos(theta), np.sin(theta))
+            )
+            k = rng.integers(8)
+            pts[k] *= -rng.uniform(1.2, 3.0) / np.hypot(*pts[k])
+        try:
+            centroid(pts)
+        except DegeneratePolygon:
+            continue
+        out.append(pts)
+    return out
+
+
+def subdivided(corners, per_edge):
+    """Closed polygon through ``corners`` with every edge split into
+    ``per_edge`` parts, so consecutive vertices are nearly collinear."""
+    corners = np.asarray(corners, dtype=float)
     frac = np.arange(per_edge)[None, :, None] / per_edge
     step = np.roll(corners, -1, axis=0) - corners
     return (corners[:, None, :] + frac * step[:, None, :]).reshape(-1, 2)
+
+
+def mushroom(per_edge=50):
+    """Non-star cap on a stem, with every edge split into ``per_edge`` parts."""
+    corners = [(-0.25, -1.0), (0.25, -1.0), (0.25, 0.5), (1.0, 0.5),
+               (1.0, 1.0), (-1.0, 1.0), (-1.0, 0.5), (-0.25, 0.5)]
+    return subdivided(corners, per_edge)
+
+
+def region_shape(kind, seed):
+    """Seeded shapes of the kind the regions benchmark ingests, at a random
+    rotation and offset: a star with its tips between rays and its edges
+    subdivided, a circle with three thin spikes, a smooth blob with jittered
+    angles, and the mushroom."""
+    rng = np.random.default_rng(seed)
+    if kind == "star":
+        tips = tuple((k + rng.uniform(0.2, 0.8)) / 7 for k in range(7))
+        pts = subdivided(star_points(tips=tips, r_inner=rng.uniform(0.4, 0.55)), 20)
+    elif kind == "spikes":
+        theta = np.linspace(-np.pi, np.pi, 240, endpoint=False)
+        radius = np.ones_like(theta)
+        radius[rng.choice(theta.size, 3, replace=False)] = rng.uniform(1.25, 1.45, 3)
+        pts = radius[:, None] * np.column_stack((np.cos(theta), np.sin(theta)))
+    elif kind == "blob":
+        theta = 2.0 * np.pi * (np.arange(300) + 0.8 * rng.random(300)) / 300
+        k = np.arange(2, 6)
+        radius = 1.0 + np.cos(np.multiply.outer(theta, k) + rng.uniform(0, 7, 4)) @ (
+            rng.uniform(0.02, 0.08, 4)
+        )
+        pts = radius[:, None] * np.column_stack((np.cos(theta), np.sin(theta)))
+    else:
+        pts = mushroom(per_edge=25)
+    turn = rng.uniform(-np.pi, np.pi)
+    rotation = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
+    return pts @ rotation.T + rng.uniform(-5.0, 5.0, 2)
+
+
+def notch_near_centroid(gap):
+    """Square with a slit cut in from the right whose end edge, 0.4 long,
+    passes ``gap`` to the right of the centroid (to the left if negative)."""
+    tip = 0.0
+    for _ in range(8):  # the centroid moves with the slit: iterate to a fixed point
+        pts = np.array(
+            [(-1, -1), (1, -1), (1, -0.2), (tip, -0.2), (tip, 0.2), (1, 0.2), (1, 1), (-1, 1)],
+            dtype=float,
+        )
+        tip = centroid(pts)[0] + gap
+    return pts
+
+
+def spiral_band(vertices=3000, per_turn=4):
+    """A band wound round and round its centre with ``per_turn`` vertices per
+    turn on each side: every ray from the centroid crosses two edges per
+    turn, and three quarters of the edge pairs overlap in x."""
+    theta = 2.0 * np.pi * np.arange(vertices // 2) / per_turn
+    inner = 1.0 + theta / (2.0 * np.pi)
+    ring = np.column_stack((np.cos(theta), np.sin(theta)))
+    return np.vstack(((inner + 0.5)[:, None] * ring, (inner[:, None] * ring)[::-1]))
+
+
+def assert_matches_per_ray_loop(contour, M):
+    """Samples and ``star_shaped`` equal the per-ray reference bit for bit,
+    or both raise the same ``NoIntersection`` text."""
+    expected = radial_reference(contour, M)
+    try:
+        sig = radial_parametrize(contour, M=M)
+    except NoIntersection as err:
+        assert str(err) == expected
+        return
+    assert not isinstance(expected, str), expected
+    samples, star_shaped = expected
+    assert np.array_equal(sig.samples, samples)
+    assert sig.star_shaped is star_shaped
 
 
 class TestCentroid:
@@ -179,6 +279,28 @@ class TestContourValidation:
         assert [crossing_message(pts) for pts in polygons] == expected
         rejected = sum(message is not None for message in expected)
         assert 50 <= rejected <= 150
+        # Thousands of crossings each, met by the x-sorted scan out of order.
+        polygons = large_random_polygons()
+        expected = [crossing_reference(pts) for pts in polygons]
+        assert [crossing_message(pts) for pts in polygons] == expected
+        assert max(len(pts) for pts in polygons) > 1500
+        assert None not in expected
+
+    def test_collinear_edges_apart_in_x_do_not_cross(self):
+        # Four base vertices on one line up to rounding: the orientations of
+        # edges 0 and 2 are rounding noise, and their signs make the
+        # pairwise test report a crossing, though edge 0 ends left of where
+        # edge 2 starts.  The scan tests only pairs whose boxes overlap.
+        pts = np.array(
+            [(0.18381541895449266, 2.3853711230831087),
+             (0.9663619441570109, 3.545594542688387),
+             (1.000834077582913, 3.596703806146095),
+             (1.1610197711104173, 3.8341991973220084),
+             (-0.653, 4.458)]
+        )
+        assert max(pts[0, 0], pts[1, 0]) < min(pts[2, 0], pts[3, 0])
+        assert crossing_reference(pts) == "polygon edges 0 and 2 cross each other"
+        assert crossing_message(pts) is None
 
     @pytest.mark.parametrize(
         "points",
@@ -201,13 +323,21 @@ class TestContourValidation:
         Contour.from_points(points)
 
     @pytest.mark.parametrize("case", ["crossings in two row blocks", "spike before a swap"])
-    def test_first_crossing_pair_reported(self, case):
+    def test_first_crossing_pair_reported(self, case, monkeypatch):
         pts = regular_polygon(1.0, 400)
         if case == "crossings in two row blocks":
             for k in (300, 120):  # swapping k, k + 1 crosses edges k - 1 and k + 1
                 pts[[k, k + 1]] = pts[[k + 1, k]]
             expected = "polygon edges 119 and 121 cross each other"
-            assert 119 // (_BLOCK // 400) != 299 // (_BLOCK // 400)
+            # In chunks of 64 pairs the x-sorted scan meets (299, 301), near
+            # x = 0, in an earlier chunk than (119, 121), near x = 0.31.
+            monkeypatch.setattr(contour_module, "_BLOCK", 64)
+            chunk_of = {
+                (int(min(a, b)), int(max(a, b))): chunk
+                for chunk, pairs in enumerate(_edge_pairs(pts))
+                for a, b in zip(*pairs)
+            }
+            assert chunk_of[(299, 301)] < chunk_of[(119, 121)]
         else:
             pts[[150, 151]] = pts[[151, 150]]
             pts[100] *= -1.5  # edges 99 and 100 reach across the polygon
@@ -310,6 +440,65 @@ class TestRadialParametrize:
             radial_parametrize(Contour.from_points(UNIT_SQUARE), M=32)
 
 
+class TestSpanKernelMatchesPerRayLoop:
+    """Cases where casting each edge only against the rays of its angular
+    span could go wrong, checked bit for bit against the per-ray loop."""
+
+    @pytest.mark.parametrize("M", [64, 1000, 5001])
+    @pytest.mark.parametrize("gap", [1e-9, -1e-9], ids=["right", "left"])
+    def test_edge_through_centroid_neighbourhood(self, gap, M):
+        # The slit's end edge spans nearly pi seen from the centroid; with
+        # the centroid inside the slit the rays to its right miss.
+        contour = Contour.from_points(notch_near_centroid(gap))
+        w = contour.points[3:5] - np.asarray(contour.centroid)
+        assert abs(w[0, 0]) <= 2e-9 * np.max(np.abs(contour.points))
+        span = np.arctan2(w[0, 0] * w[1, 1] - w[0, 1] * w[1, 0], np.dot(w[0], w[1]))
+        assert np.pi - abs(span) < 1e-7
+        assert_matches_per_ray_loop(contour, M)
+
+    @pytest.mark.parametrize("M", [64, 1000, 4096, 5001])
+    @pytest.mark.parametrize(
+        "points",
+        [[(-1, 0), (0, -1), (1, 0), (0, 1)], UNIT_SQUARE],
+        ids=["diamond", "square"],
+    )
+    def test_vertex_on_ray(self, points, M):
+        # Diamond vertices lie on rays kM/4 and square corners on rays
+        # (2k+1)M/8 where M is a multiple of 8.
+        assert_matches_per_ray_loop(Contour.from_points(points), M)
+
+    @pytest.mark.parametrize("M", [64, 1000, 5001])
+    @pytest.mark.parametrize("shape", ["star", "notched off-centre", "mushroom"])
+    def test_clockwise(self, shape, M):
+        pts = {
+            "star": star_points(),
+            "notched off-centre": np.asarray(NOTCHED) + (3.7, -1.2),
+            "mushroom": mushroom(),
+        }[shape]
+        assert_matches_per_ray_loop(Contour.from_points(pts[::-1]), M)
+
+    @pytest.mark.parametrize("M", [64, 1000, 5001])
+    @pytest.mark.parametrize("turn", [0.0, 1e-12, -1e-12, 0.5], ids=repr)
+    def test_rays_wrapping_at_minus_pi(self, turn, M):
+        # A heptagon vertex on, just above or just below the -x axis, or an
+        # edge across it (turn = 0.5 of a side).
+        theta = -np.pi + 2.0 * np.pi * (np.arange(7) + turn) / 7
+        pts = np.column_stack((np.cos(theta), np.sin(theta))) + (2.5, -0.5)
+        assert_matches_per_ray_loop(Contour.from_points(pts), M)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["star", "spikes", "blob", "mushroom"])
+    def test_region_shapes(self, kind, seed):
+        contour = Contour.from_points(region_shape(kind, seed))
+        assert_matches_per_ray_loop(contour, (64, 1000, 5001)[seed])
+
+    def test_chunk_boundaries(self, monkeypatch):
+        # Chunks of 97 pairs split edges' ray ranges at every offset.
+        monkeypatch.setattr(contour_module, "_BLOCK", 97)
+        for pts in (mushroom(), region_shape("star", 3), notch_near_centroid(1e-9)):
+            assert_matches_per_ray_loop(Contour.from_points(pts), 1000)
+
+
 _ENV = FourierEnvelope(L=2, b0=2.0, b_re=[0.1, 0.0], b_im=[0.0, 0.2])
 
 
@@ -402,6 +591,24 @@ class TestBlockedKernelMemory:
             ray_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert scan_peak < 8e6
+        assert ray_peak < 8e6
+
+    def test_worst_case_peak_below_8_mb(self):
+        # Each ray crosses 750 of the 3000 edges (3 million ray-edge pairs)
+        # and 3.4 million edge pairs overlap in x: the pairs are only ever
+        # held a chunk at a time.
+        pts = spiral_band()
+        tracemalloc.start()
+        try:
+            contour = Contour.from_points(pts)
+            scan_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            sig = radial_parametrize(contour, M=4096)
+            ray_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sig.star_shaped is False
         assert scan_peak < 8e6
         assert ray_peak < 8e6
 
