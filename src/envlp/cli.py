@@ -158,6 +158,10 @@ def _sweep_csv(rows) -> str:
 def cmd_sweep(args) -> int:
     if not args.L or not args.n:
         raise ValueError("sweep needs at least one L and one n")
+    for flag, values in (("--L", args.L), ("--n", args.n)):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ValueError(f"{flag} lists {value} more than once")
     for L, n in product(args.L, args.n):
         solver.check_run(L, n, args.grid)
     rows = _sweep_rows(_load_signal(args.signal_csv, args.lipschitz), args)

@@ -34,6 +34,8 @@ def centroid(points) -> tuple[float, float]:
     area test and the result do not depend on where the polygon lies.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if not np.all(np.isfinite(pts)):
+        raise DegeneratePolygon("polygon vertices must be finite")
     if pts.shape[0] < 3:
         raise DegeneratePolygon(f"polygon needs >= 3 vertices, got {pts.shape[0]}")
     rel = pts - pts[0]
@@ -125,25 +127,30 @@ def _check_simple(pts: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Contour:
-    """Ordered polygon vertices (implicitly closed) plus their centroid."""
+    """Ordered polygon vertices (implicitly closed) plus their centroid,
+    validated on construction: at least 3 finite vertices, nonzero area, no
+    two non-adjacent edges crossing (the first crossing pair in ``(i, j)``
+    order is reported), and a centroid of two finite numbers."""
 
     points: np.ndarray
     centroid: tuple[float, float]
 
+    def __post_init__(self):
+        pts = np.array(self.points, dtype=float).reshape(-1, 2)
+        centroid(pts)  # finite vertices, at least 3 of them, nonzero area
+        _check_simple(pts)
+        c = np.asarray(self.centroid, dtype=float)
+        if c.shape != (2,) or not np.all(np.isfinite(c)):
+            raise ValueError(f"centroid must be two finite numbers, got {self.centroid!r}")
+        pts.setflags(write=False)
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "centroid", (float(c[0]), float(c[1])))
+
     @classmethod
     def from_points(cls, points) -> "Contour":
-        """Validated contour: at least 3 finite vertices, nonzero area and no
-        two non-adjacent edges crossing, checked on the pairs whose bounding
-        boxes overlap (found by sorting the edges by x) in chunks; the first
-        crossing pair in ``(i, j)`` order is reported."""
+        """Validated contour about the polygon's area-weighted centroid."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        if not np.all(np.isfinite(pts)):
-            raise DegeneratePolygon("polygon vertices must be finite")
-        cx, cy = centroid(pts)
-        _check_simple(pts)
-        frozen = pts.copy()
-        frozen.setflags(write=False)
-        return cls(points=frozen, centroid=(cx, cy))
+        return cls(points=pts, centroid=centroid(pts))
 
 
 def radial_parametrize(contour: Contour, M: int = 1024) -> PeriodicSignal:
@@ -211,11 +218,14 @@ def reconstruct_region(
 
     ``M`` is an integer in ``[3, MAX_CONSTRAINTS]``.  The radii at the ``M``
     uniform angles come from one inverse real FFT
-    (:func:`fourier.grid_values`), exact for every ``M``.  ``centroid``
-    re-anchors the region in the plane it came from; the default origin
-    suits synthetic signals.
+    (:func:`fourier.grid_values`), exact for every ``M``.  ``centroid``,
+    two finite numbers, re-anchors the region in the plane it came from;
+    the default origin suits synthetic signals.
     """
     M = _check_count(M, 3, "M")
+    c = np.asarray(centroid, dtype=float)
+    if c.shape != (2,) or not np.all(np.isfinite(c)):
+        raise ValueError(f"centroid must be two finite numbers, got {centroid!r}")
     t = np.arange(M) / M
     radii = _grid_values(env.params(), M)
     if np.any(radii <= 0.0):
@@ -224,8 +234,7 @@ def reconstruct_region(
             "radial reconstruction is undefined"
         )
     theta = -np.pi + 2.0 * np.pi * t
-    cx, cy = centroid
-    return np.column_stack((cx + radii * np.cos(theta), cy + radii * np.sin(theta)))
+    return np.column_stack((c[0] + radii * np.cos(theta), c[1] + radii * np.sin(theta)))
 
 
 def read_polygon_csv(path) -> np.ndarray:

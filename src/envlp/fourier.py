@@ -202,12 +202,11 @@ def grid_values(params: np.ndarray, m: int) -> np.ndarray:
     """Values at the ``m`` uniform phases ``j/m`` of the polynomial with
     canonical parameters ``params``, from one inverse real FFT.
 
-    On that grid harmonic ``k`` coincides with harmonic ``k mod m``, so each
-    coefficient is folded onto the one-sided spectrum: bins above ``m/2``
-    take the conjugate, and a harmonic landing on DC or Nyquist, where the
-    inverse FFT keeps only the real part of one term, counts twice.  The
-    result is therefore exact for every ``m`` in ``[1, MAX_CONSTRAINTS]``,
-    including ``m <= 2L``.
+    The spectrum (bins ``0..L``) is evaluated on ``m*r`` phases, with ``m*r``
+    the smallest multiple of ``m`` above ``2L``, so no harmonic aliases, and
+    every ``r``-th value is kept.  The result is therefore exact to rounding
+    for every ``m`` in ``[1, MAX_CONSTRAINTS]``, including ``m <= 2L``, at a
+    cost of at most ``2L`` extra points; for ``m > 2L``, ``r`` is 1.
     """
     params = np.asarray(params, dtype=float)
     if params.ndim != 1 or params.shape[0] % 2 != 1:
@@ -219,20 +218,11 @@ def _grid_values(params: np.ndarray, m: int) -> np.ndarray:
     """:func:`grid_values` on a 1-D float ``params`` of odd length and a
     checked int ``m``."""
     L = (params.shape[0] - 1) // 2
-    z = params[1 : L + 1] + 1j * params[L + 1 :]
-    if 2 * L < m:
-        # No harmonic folds: irfft pads bins above L with zeros, so no m/2+1-bin
-        # spectrum is zeroed per call (that page-faulted on every QP matvec).
-        spectrum = np.concatenate(([params[0]], z))
-    else:
-        spectrum = np.zeros(m // 2 + 1, dtype=complex)
-        spectrum[0] = params[0]
-        r = np.arange(1, L + 1) % m
-        upper = 2 * r > m
-        z = np.where(upper, z.conj(), z)
-        z[(r == 0) | (2 * r == m)] *= 2.0
-        np.add.at(spectrum, np.where(upper, m - r, r), z)
-    return np.fft.irfft(spectrum, m, norm="forward")
+    r = 2 * L // m + 1
+    # irfft pads bins above L itself, so no spectrum is zeroed per call
+    # (zeroing one page-faulted on every QP matvec).
+    spectrum = np.concatenate(([params[0]], params[1 : L + 1] + 1j * params[L + 1 :]))
+    return np.fft.irfft(spectrum, m * r, norm="forward")[::r]
 
 
 def apriori_derivative_bound(L: int, sup_norm: float) -> float:

@@ -85,34 +85,28 @@ class EnvelopeResult:
         }
 
 
-def _q_diag(L: int) -> np.ndarray:
-    """Diagonal of ``Q``: the coefficient energy in the canonical layout."""
-    q_diag = np.full(2 * L + 1, 2.0)
-    q_diag[0] = 1.0
-    return q_diag
-
-
 def build_constraints(sig: PeriodicSignal, L: int, n: int) -> qp.QpProblem:
-    """Assemble the ``n``-point constraint system for harmonic budget ``L``."""
+    """The ``n``-point system of :class:`_GridProblem`, its rows formed up front."""
     check_run(L, n)
-    L, n = int(L), int(n)
-    t = np.arange(n) / n
-    rows = phasor_matrix(L, t)
+    grid = _GridProblem(sig, int(L), int(n))
+    rows = phasor_matrix(grid.L, np.arange(grid.n) / grid.n)
     rows.setflags(write=False)
-    return qp.QpProblem(q_diag=_q_diag(L), a_rows=rows, g=sig.value_at(t))
+    return qp.QpProblem(q_diag=grid.q_diag, a_rows=rows, g=grid.g)
 
 
 class _GridProblem:
-    """The system of :func:`build_constraints` without its ``n x (2L+1)``
-    matrix, for :func:`qp.solve`: row ``i`` is formed when asked for, bit
-    for bit as ``phasor_matrix`` forms it, and ``A x`` is the polynomial
-    with parameters ``x`` on the grid ``i/n``, by the one inverse real FFT
-    of :func:`fourier.grid_values`.
+    """The one definition of the discretized system on the grid ``i/n``:
+    energy weights ``q_diag``, signal values ``g``, row ``i`` formed when
+    asked for, bit for bit as ``phasor_matrix`` forms it, and ``A x`` by the
+    one inverse real FFT of :func:`fourier.grid_values`.  :func:`qp.solve`
+    reads it without the ``n x (2L+1)`` matrix, :func:`build_constraints`
+    forms its rows, and :func:`certify` reads its slack ``A x - g``.
     """
 
     def __init__(self, sig: PeriodicSignal, L: int, n: int):
         self.L, self.n, self.d = L, n, 2 * L + 1
-        self.q_diag = _q_diag(L)
+        self.q_diag = np.full(self.d, 2.0)
+        self.q_diag[0] = 1.0
         self.g = sig.value_at(np.arange(n) / n)
 
     def rows(self, idx) -> np.ndarray:
@@ -202,15 +196,13 @@ def certify(
     value of envelope minus signal over ``grid_m`` uniform phases; the check
     passes when ``min_margin >= -CERTIFY_TOL * sig.sup_norm()``.  A grid at
     least four times denser than ``max(L, 1) * n`` is recommended so dips
-    between constraint phases are visible.  The envelope is evaluated on the
-    grid by one inverse real FFT (:func:`fourier.grid_values`), exact for
-    every grid size.
+    between constraint phases are visible.  The margin is the slack
+    ``A x - g`` of :class:`_GridProblem` on ``grid_m`` phases, ``x`` the
+    envelope's parameters: one inverse real FFT, exact for every grid size.
     """
     check_run(subopt.L, grid_m=grid_m)
-    grid_m = int(grid_m)
-    t = np.arange(grid_m) / grid_m
-    margin = _grid_values(subopt.params(), grid_m) - sig.value_at(t)
-    min_margin = float(np.min(margin))
+    grid = _GridProblem(sig, subopt.L, int(grid_m))
+    min_margin = float(np.min(grid.matvec(subopt.params()) - grid.g))
     return min_margin >= -CERTIFY_TOL * sig.sup_norm(), min_margin
 
 

@@ -291,6 +291,19 @@ class TestSweep:
         assert captured.out == ""
         assert "envlp: error:" in captured.err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--L", "2,2", "--n", "8"], "--L lists 2 more than once"),
+         (["--L", "1", "--n", "8,16,8"], "--n lists 8 more than once")],
+        ids=["L", "n"],
+    )
+    def test_repeated_value_rejected_before_reading(self, tmp_path, capsys, flags, message):
+        # The signal path does not exist: the flags are checked first.
+        assert main(["sweep", str(tmp_path / "missing.csv"), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"envlp: error: {message}\n"
+
     def test_csv_cells_render_json_fields(self, star_csv, capsys):
         flags = [star_csv, "--L", "0,1,2", "--n", "16,32"]
         assert main(["sweep", *flags]) == 0

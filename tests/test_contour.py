@@ -273,6 +273,47 @@ class TestContourValidation:
         with pytest.raises(DegeneratePolygon):
             Contour.from_points([(0, 0), (1, 0), (np.nan, 1)])
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(np.cos(a), np.sin(a)) for a in np.pi / 2 + 0.8 * np.pi * np.arange(5)],
+            [(0, 0), (1, 0), (np.nan, 1)],
+            [(0, 0), (1, 0)],
+            [(0, 0), (1, 1), (2, 2)],
+        ],
+        ids=["pentagram", "nan-vertex", "two-vertices", "zero-area"],
+    )
+    def test_constructor_rejects_what_from_points_rejects(self, points):
+        with pytest.raises(DegeneratePolygon) as expected:
+            Contour.from_points(points)
+        with pytest.raises(DegeneratePolygon) as direct:
+            Contour(points=points, centroid=(0.0, 0.0))
+        assert str(direct.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "c", [(np.nan, 0.5), (0.5, np.inf), (0.5,), (0.5, 0.5, 0.5), None]
+    )
+    def test_constructor_rejects_bad_centroid(self, c):
+        with pytest.raises(ValueError, match="centroid must be two finite numbers"):
+            Contour(points=UNIT_SQUARE, centroid=c)
+
+    def test_constructor_freezes_a_copy(self):
+        pts = np.asarray(UNIT_SQUARE, dtype=float)
+        contour = Contour(points=pts, centroid=np.array([0.5, 0.5]))
+        assert contour.centroid == (0.5, 0.5)
+        assert not contour.points.flags.writeable
+        pts[0, 0] = 9.0
+        assert contour.points[0, 0] == 0.0
+
+    def test_from_points_checks_crossings_once(self, monkeypatch):
+        calls = []
+        real = contour_module._check_simple
+        monkeypatch.setattr(
+            contour_module, "_check_simple", lambda pts: calls.append(1) or real(pts)
+        )
+        Contour.from_points(UNIT_SQUARE)
+        assert len(calls) == 1
+
     def test_random_polygons_match_pairwise_scan(self):
         polygons = random_polygons()
         expected = [crossing_reference(pts) for pts in polygons]
@@ -573,6 +614,13 @@ class TestReconstructRegion:
         env = FourierEnvelope(L=0, b0=1.0, b_re=[], b_im=[])
         pts = reconstruct_region(env, M=64, centroid=(5.0, -2.0))
         assert np.allclose(np.mean(pts, axis=0), (5.0, -2.0), atol=1e-12)
+
+
+    @pytest.mark.parametrize("c", [(np.nan, 0.0), (0.0, -np.inf), (1.0,)])
+    def test_bad_centroid_rejected(self, c):
+        env = FourierEnvelope(L=0, b0=1.0, b_re=[], b_im=[])
+        with pytest.raises(ValueError, match="centroid must be two finite numbers"):
+            reconstruct_region(env, M=64, centroid=c)
 
 
 class TestBlockedKernelMemory:

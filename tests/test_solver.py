@@ -291,6 +291,21 @@ class TestCertify:
         assert not certified
         assert margin == pytest.approx(-0.05 * scale, rel=1e-6)
 
+    @pytest.mark.parametrize("grid_m", [16, 64, 128, 129])
+    def test_margin_on_folded_grids(self, grid_m):
+        # At L = 64 every grid_m <= 128 puts harmonics above grid_m / 2.
+        rng = np.random.default_rng(grid_m)
+        L = 64
+        env = FourierEnvelope(
+            L=L, b0=rng.normal(), b_re=rng.normal(size=L), b_im=rng.normal(size=L)
+        )
+        sig = smooth_signal(grid_m, 256)
+        t = np.arange(grid_m) / grid_m
+        direct = float(np.min(env.evaluate(t) - sig.value_at(t)))
+        scale = abs(env.b0) + 2.0 * float(np.sum(np.hypot(env.b_re, env.b_im)))
+        _, margin = certify(env, sig, grid_m=grid_m)
+        assert abs(margin - direct) <= 1e-13 * scale
+
     def test_grid_floor(self, constant_two):
         env = FourierEnvelope(L=0, b0=2.0, b_re=[], b_im=[])
         with pytest.raises(ValueError):
