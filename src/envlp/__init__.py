@@ -20,7 +20,6 @@ from .fourier import (
     apriori_derivative_bound,
     grid_values,
     phasor_matrix,
-    phasor_row,
 )
 from .qp import QpProblem, QpSolution, kkt_residuals, solve
 from .signals import PeriodicSignal, read_signal_csv, write_signal_csv
@@ -29,7 +28,6 @@ from .solver import (
     approximate,
     build_constraints,
     certify,
-    fine_grid_opt,
     gap_bound,
     lift_to_envelope,
     solve_appopt,
@@ -50,13 +48,11 @@ __all__ = [
     "centroid",
     "certify",
     "errors",
-    "fine_grid_opt",
     "gap_bound",
     "grid_values",
     "kkt_residuals",
     "lift_to_envelope",
     "phasor_matrix",
-    "phasor_row",
     "radial_parametrize",
     "read_polygon_csv",
     "read_signal_csv",

@@ -129,9 +129,12 @@ class FourierEnvelope:
     def evaluate(self, t):
         """Value of the polynomial at phase ``t`` (scalar or array, period 1):
         the phasor rows of ``t`` times :meth:`params`.  On ``m`` uniform
-        phases :func:`grid_values` is faster."""
+        phases :func:`grid_values` is faster.  A non-finite phase raises
+        ``ValueError``."""
         t_arr = np.asarray(t, dtype=float)
-        out = _phasor_rows(self.L, t_arr.reshape(-1)) @ self.params()
+        if not np.all(np.isfinite(t_arr)):
+            raise ValueError("phase must be finite")
+        out = _phasors(self.L, t_arr.reshape(-1)) @ self.params()
         return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
 
     def energy(self) -> float:
@@ -169,22 +172,18 @@ class FourierEnvelope:
             raise ValueError(f"malformed envelope payload: {exc!r}") from exc
 
 
-def phasor_row(L: int, t: float) -> np.ndarray:
-    """Constraint row such that ``row @ params`` equals the polynomial at ``t``.
+def phasor_matrix(L: int, t: np.ndarray) -> np.ndarray:
+    """Constraint rows, one per phase in ``t``, such that ``row @ params``
+    equals the polynomial at that phase.
 
     Layout matches the canonical parameter vector:
     ``[1, 2cos(2*pi*t), ..., 2cos(2*pi*L*t), -2sin(2*pi*t), ..., -2sin(2*pi*L*t)]``.
     """
-    return phasor_matrix(L, [t])[0]
-
-
-def phasor_matrix(L: int, t: np.ndarray) -> np.ndarray:
-    """Stack of :func:`phasor_row` values for an array of phases, one per row."""
     check_run(L)
-    return _phasor_rows(int(L), np.asarray(t, dtype=float).reshape(-1))
+    return _phasors(int(L), np.asarray(t, dtype=float).reshape(-1))
 
 
-def _phasor_rows(L: int, t: np.ndarray) -> np.ndarray:
+def _phasors(L: int, t: np.ndarray) -> np.ndarray:
     """:func:`phasor_matrix` on a checked ``L`` and a 1-D float ``t``: the one
     direct cos/sin kernel.  Besides the rows, one ``T x L`` temporary of
     phases ``2*pi*k*t`` is alive; cos and sin are written into the rows."""

@@ -121,8 +121,11 @@ class PeriodicSignal:
         return self.samples.shape[0]
 
     def value_at(self, t):
-        """Linear interpolation with periodic wrap; exact at sample points."""
+        """Linear interpolation with periodic wrap; exact at sample points.
+        A non-finite phase raises ``ValueError``."""
         t_arr = np.asarray(t, dtype=float)
+        if not np.all(np.isfinite(t_arr)):
+            raise ValueError("phase must be finite")
         scalar = t_arr.ndim == 0
         m = self.m
         u = np.mod(t_arr, 1.0) * m

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qp
-from .fourier import (  # MAX_CONSTRAINTS stays importable from here
-    MAX_CONSTRAINTS,
+from .fourier import (
     FourierEnvelope,
     _grid_values,
-    _phasor_rows,
+    _phasors,
     apriori_derivative_bound,
     check_run,
     phasor_matrix,
@@ -111,7 +110,7 @@ class _GridProblem:
 
     def rows(self, idx) -> np.ndarray:
         idx = np.asarray(idx)
-        rows = _phasor_rows(self.L, idx.reshape(-1) / self.n)
+        rows = _phasors(self.L, idx.reshape(-1) / self.n)
         return rows.reshape(idx.shape + (self.d,))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -254,14 +253,3 @@ def approximate(
         min_margin=min_margin,
         solver_diag=solution,
     )
-
-
-def fine_grid_opt(sig: PeriodicSignal, L: int, n_fine: int = 4096) -> FourierEnvelope:
-    """Dense-grid solve used as a stand-in for the continuum optimum.
-
-    Its cost is within ``gap_bound(.., n_fine)`` of the true optimum, so with
-    ``n_fine`` well above any comparison grid (16x or more) it serves as the
-    brute-force reference in tests.
-    """
-    envelope, _ = solve_appopt(sig, L, n_fine)
-    return envelope

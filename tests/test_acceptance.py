@@ -16,7 +16,6 @@ from envlp import (
     approximate,
     build_constraints,
     certify,
-    fine_grid_opt,
     kkt_residuals,
     solve_appopt,
 )
@@ -85,7 +84,7 @@ def test_c01_analytic_optimum(cos_signal):
     env, _ = solve_appopt(cos_signal, L=1, n=64)
     elapsed = time.perf_counter() - start
 
-    fine_cost = fine_grid_opt(cos_signal, L=1, n_fine=4096).energy()
+    fine_cost = solve_appopt(cos_signal, 1, 4096)[0].energy()
     ok = (
         abs(env.energy() - oracle_cost) <= 2e-3
         and abs(env.b0 - oracle_b0) <= 5e-3
@@ -132,7 +131,7 @@ def test_c04_sandwich():
     for seed in range(10):
         sig = smooth_signal(seed)
         res = approximate(sig, L=2, n=32)
-        fine_cost = fine_grid_opt(sig, L=2, n_fine=4096).energy()
+        fine_cost = solve_appopt(sig, 2, 4096)[0].energy()
         worst_low = max(worst_low, res.cost_appopt - fine_cost)
         worst_high = max(worst_high, fine_cost - res.cost_subopt)
     ok = worst_low <= 1e-7 and worst_high <= 1e-7

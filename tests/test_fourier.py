@@ -8,7 +8,6 @@ from envlp import (
     apriori_derivative_bound,
     grid_values,
     phasor_matrix,
-    phasor_row,
 )
 from envlp.errors import BudgetTooLarge
 from envlp.fourier import check_run
@@ -43,6 +42,15 @@ class TestEvaluate:
         np.testing.assert_allclose(
             env.evaluate(t), [env.evaluate(float(v)) for v in t], atol=1e-14
         )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "array"])
+    def test_non_finite_phase_rejected(self, bad, as_array):
+        # Unchecked, inf warned in cos and NaN came back as a NaN value.
+        env = FourierEnvelope(L=1, b0=1 / 3, b_re=[1 / 3], b_im=[0.0])
+        t = np.array([0.25, bad]) if as_array else bad
+        with pytest.raises(ValueError, match="phase must be finite"):
+            env.evaluate(t)
 
 
 class TestGridValues:
@@ -93,20 +101,20 @@ class TestEnergy:
 
 class TestPhasorRow:
     def test_at_zero(self):
-        np.testing.assert_allclose(phasor_row(2, 0.0), [1, 2, 2, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(phasor_matrix(2, [0.0])[0], [1, 2, 2, 0, 0], atol=1e-12)
 
     def test_quarter_period(self):
-        np.testing.assert_allclose(phasor_row(1, 0.25), [1, 0, -2], atol=1e-12)
+        np.testing.assert_allclose(phasor_matrix(1, [0.25])[0], [1, 0, -2], atol=1e-12)
 
     def test_half_period(self):
-        np.testing.assert_allclose(phasor_row(1, 0.5), [1, -2, 0], atol=1e-12)
+        np.testing.assert_allclose(phasor_matrix(1, [0.5])[0], [1, -2, 0], atol=1e-12)
 
     def test_row_times_params_is_evaluate(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
             env = random_envelope(rng)
             t = float(rng.uniform())
-            assert abs(phasor_row(env.L, t) @ env.params() - env.evaluate(t)) <= 1e-12
+            assert abs(phasor_matrix(env.L, [t])[0] @ env.params() - env.evaluate(t)) <= 1e-12
 
     def test_matrix_stacks_rows(self):
         t = np.array([0.0, 0.2, 0.77])
@@ -118,7 +126,7 @@ class TestPhasorRow:
         ]
         np.testing.assert_allclose(phasor_matrix(3, t), expected, atol=1e-14)
         for v, row in zip(t, expected):
-            np.testing.assert_allclose(phasor_row(3, v), row, atol=1e-14)
+            np.testing.assert_allclose(phasor_matrix(3, [v])[0], row, atol=1e-14)
 
 
 class TestDerivativeBound:
@@ -175,7 +183,6 @@ _BUDGET_CHECKS = {
     "FourierEnvelope": lambda L: FourierEnvelope(
         L=L, b0=0.0, b_re=np.zeros(max(L, 0)), b_im=np.zeros(max(L, 0))
     ),
-    "phasor_row": lambda L: phasor_row(L, 0.25),
     "phasor_matrix": lambda L: phasor_matrix(L, [0.0, 0.5]),
     "apriori_derivative_bound": lambda L: apriori_derivative_bound(L, 1.0),
     "check_run": check_run,

@@ -408,7 +408,35 @@ class TestWorkingSetFactor:
         assert rel_diff(solve(permuted).x, sol.x) <= 1e-9
 
 
+class _LeastViolatedFirst:
+    """Rows ``[1]`` with ``g = linspace(1/n, 1, n)``, so ``x >= 1`` is the
+    answer.  ``matvec`` reports every violated row as the more violated the
+    less it truly is, so each pass adds the rows one at a time, in order."""
+
+    def __init__(self, n):
+        self.n, self.d = n, 1
+        self.q_diag = np.ones(1)
+        self.g = np.linspace(1 / n, 1, n)
+
+    def rows(self, idx):
+        return np.ones(np.shape(idx) + (1,))
+
+    def matvec(self, x):
+        ax = np.full(self.n, float(x[0]))
+        violated = ax < self.g
+        ax[violated] = 2.0 * self.g[violated] - 2.0
+        return ax
+
+
 class TestFailureModes:
+    def test_outer_cap_stops_a_pass(self):
+        # The cap on rows added is 30 * (d + 1) + 100 = 160 at d = 1.
+        with pytest.raises(NotConverged, match="^qp: no feasible point after 160 rows added") as info:
+            solve(_LeastViolatedFirst(300))
+        assert info.value.solution.adds == 160
+        below_cap = solve(_LeastViolatedFirst(100))
+        assert below_cap.converged and below_cap.adds == 100
+
     def test_infeasible_problem_raises_not_converged(self):
         p = QpProblem(q_diag=[1.0], a_rows=[[1.0], [-1.0]], g=[1.0, 1.0])
         start = time.perf_counter()

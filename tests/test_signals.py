@@ -112,6 +112,16 @@ class TestValueAt:
             gap = np.abs(sig.value_at(t1) - sig.value_at(t2))
             assert np.all(gap <= sig.lipschitz_c * dist + 1e-9)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "array"])
+    def test_non_finite_phase_rejected(self, bad, as_array):
+        # Unchecked, NaN was cast to an int index and inf reached np.mod,
+        # each with a RuntimeWarning.
+        sig = smooth_signal(0, m=32)
+        t = np.array([0.25, bad]) if as_array else bad
+        with pytest.raises(ValueError, match="phase must be finite"):
+            sig.value_at(t)
+
 
 class TestReductions:
     def test_sup_norm_constant(self):

@@ -9,7 +9,6 @@ from envlp import (
     approximate,
     build_constraints,
     certify,
-    fine_grid_opt,
     gap_bound,
     kkt_residuals,
     lift_to_envelope,
@@ -386,16 +385,16 @@ class TestApproximate:
 
 class TestFineGridOpt:
     def test_cosine_cost(self, cos_signal):
-        fine = fine_grid_opt(cos_signal, L=1, n_fine=4096)
+        fine = solve_appopt(cos_signal, 1, 4096)[0]
         assert fine.energy() == pytest.approx(1 / 3, abs=1e-4)
 
     def test_constant_exact(self, constant_two):
-        fine = fine_grid_opt(constant_two, L=1, n_fine=4096)
+        fine = solve_appopt(constant_two, 1, 4096)[0]
         assert fine.b0 == pytest.approx(2.0, abs=1e-9)
 
     def test_dominates_coarse_grid_cost(self, star_signal):
         coarse, _ = solve_appopt(star_signal, L=1, n=16)
-        fine = fine_grid_opt(star_signal, L=1, n_fine=4096)
+        fine = solve_appopt(star_signal, 1, 4096)[0]
         assert fine.energy() >= coarse.energy() - 1e-9
 
 
@@ -411,7 +410,7 @@ class TestPipelineProperties:
         for seed in range(3):
             sig = smooth_signal(seed)
             res = approximate(sig, L=2, n=32)
-            fine_cost = fine_grid_opt(sig, L=2, n_fine=4096).energy()
+            fine_cost = solve_appopt(sig, 2, 4096)[0].energy()
             assert res.cost_appopt - 1e-7 <= fine_cost <= res.cost_subopt + 1e-7
 
     def test_uniform_lower_bound_of_unlifted_solution(self, star_signal):
