@@ -130,12 +130,9 @@ class FourierEnvelope:
         """Value of the polynomial at phase ``t`` (scalar or array, period 1):
         the phasor rows of ``t`` times :meth:`params`.  On ``m`` uniform
         phases :func:`grid_values` is faster.  A non-finite phase raises
-        ``ValueError``."""
-        t_arr = np.asarray(t, dtype=float)
-        if not np.all(np.isfinite(t_arr)):
-            raise ValueError("phase must be finite")
-        out = _phasors(self.L, t_arr.reshape(-1)) @ self.params()
-        return float(out[0]) if t_arr.ndim == 0 else out.reshape(t_arr.shape)
+        ``ValueError`` (from :func:`phasor_matrix`)."""
+        out = phasor_matrix(self.L, t) @ self.params()
+        return float(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
 
     def energy(self) -> float:
         """Sum of squared complex coefficients, equal to the mean-square value
@@ -178,9 +175,13 @@ def phasor_matrix(L: int, t: np.ndarray) -> np.ndarray:
 
     Layout matches the canonical parameter vector:
     ``[1, 2cos(2*pi*t), ..., 2cos(2*pi*L*t), -2sin(2*pi*t), ..., -2sin(2*pi*L*t)]``.
+    A non-finite phase raises ``ValueError``.
     """
     check_run(L)
-    return _phasors(int(L), np.asarray(t, dtype=float).reshape(-1))
+    t = np.asarray(t, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(t)):
+        raise ValueError("phase must be finite")
+    return _phasors(int(L), t)
 
 
 def _phasors(L: int, t: np.ndarray) -> np.ndarray:
@@ -210,6 +211,8 @@ def grid_values(params: np.ndarray, m: int) -> np.ndarray:
     params = np.asarray(params, dtype=float)
     if params.ndim != 1 or params.shape[0] % 2 != 1:
         raise ValueError(f"expected 2L+1 parameters, got shape {params.shape}")
+    if not np.all(np.isfinite(params)):
+        raise ValueError("coefficients must be finite")
     return _grid_values(params, _check_count(m, 1, "grid"))
 
 

@@ -50,11 +50,6 @@ _RANK_CUT = 1e-12
 _ROW_BLOCK = 4096
 
 
-def _energy(q_diag: np.ndarray, x: np.ndarray) -> float:
-    """The objective ``x^T Q x``."""
-    return float(x @ (q_diag * x))
-
-
 @dataclass(frozen=True, eq=False)
 class QpProblem:
     """Problem data: diagonal ``q_diag`` of Q, constraint rows, right-hand sides.
@@ -102,9 +97,6 @@ class QpProblem:
     def d(self) -> int:
         return self.q_diag.shape[0]
 
-    def objective(self, x: np.ndarray) -> float:
-        return _energy(self.q_diag, np.asarray(x, dtype=float))
-
     def rows(self, idx) -> np.ndarray:
         """Constraint rows ``idx``: ``a_rows[idx]``."""
         return self.a_rows[idx]
@@ -143,8 +135,9 @@ def _residuals(problem, x: np.ndarray, lam: np.ndarray):
     is formed from the rows with a nonzero multiplier only, ``_ROW_BLOCK``
     rows at a time."""
     slack = problem.matvec(x) - problem.g
-    primal = float(max(0.0, -np.min(slack, initial=0.0)))
-    dual = float(max(0.0, -np.min(lam, initial=0.0)))
+    # 0.0 - min gives +0.0 when nothing is violated and keeps NaN (max drops it).
+    primal = float(0.0 - np.min(slack, initial=0.0))
+    dual = float(0.0 - np.min(lam, initial=0.0))
     comp_terms = np.abs(lam * slack)
     comp = float(np.max(comp_terms, initial=0.0))
     active = np.flatnonzero(lam)
@@ -327,7 +320,7 @@ def solve(problem, initial_lam: np.ndarray | None = None) -> QpSolution:
     )
     x, lam = s * x, s * lam
     primal, dual, comp, stat, comp_sum = _residuals(problem, x, lam)
-    energy = _energy(problem.q_diag, x)
+    energy = float(x @ (problem.q_diag * x))
     converged = (
         primal <= feas_target * s
         and comp_sum <= _SAFETY * TOL_STAT * (s * s + energy)

@@ -121,18 +121,17 @@ class PeriodicSignal:
         return self.samples.shape[0]
 
     def value_at(self, t):
-        """Linear interpolation with periodic wrap; exact at sample points.
-        A non-finite phase raises ``ValueError``."""
+        """Periodic linear interpolant at phase ``t`` (scalar or array),
+        exact at every sample phase ``j/m``.  A non-finite phase raises
+        ``ValueError``."""
         t_arr = np.asarray(t, dtype=float)
         if not np.all(np.isfinite(t_arr)):
             raise ValueError("phase must be finite")
-        scalar = t_arr.ndim == 0
-        m = self.m
-        u = np.mod(t_arr, 1.0) * m
-        idx = np.floor(u).astype(int) % m
-        frac = u - np.floor(u)
-        out = self.samples[idx] * (1.0 - frac) + self.samples[(idx + 1) % m] * frac
-        return float(out) if scalar else out
+        # The closed knot 1.0 carries samples[0], also for a phase np.mod rounds
+        # up to 1.0; np.interp returns fp[j] at x == xp[j], so knots are exact.
+        knots = np.arange(self.m + 1) / self.m
+        out = np.interp(np.mod(t_arr, 1.0), knots, np.append(self.samples, self.samples[0]))
+        return float(out) if t_arr.ndim == 0 else out
 
     def sup_norm(self) -> float:
         """Largest absolute sample value."""

@@ -49,8 +49,9 @@ class TestEvaluate:
         # Unchecked, inf warned in cos and NaN came back as a NaN value.
         env = FourierEnvelope(L=1, b0=1 / 3, b_re=[1 / 3], b_im=[0.0])
         t = np.array([0.25, bad]) if as_array else bad
-        with pytest.raises(ValueError, match="phase must be finite"):
-            env.evaluate(t)
+        for kernel in (env.evaluate, lambda u: phasor_matrix(1, u)):
+            with pytest.raises(ValueError, match="phase must be finite"):
+                kernel(t)
 
 
 class TestGridValues:
@@ -71,8 +72,10 @@ class TestGridValues:
     @pytest.mark.parametrize(
         "params, m",
         [(np.ones(4), 8), (np.ones((3, 1)), 8), (np.ones(3), 0), (np.ones(3), 8.5),
-         (np.ones(3), True), (np.ones(3), 10 ** 6 + 1)],
-        ids=["even length", "2-D", "m=0", "m=8.5", "m=True", "m=1e6+1"],
+         (np.ones(3), True), (np.ones(3), 10 ** 6 + 1),
+         (np.array([np.nan, 0.0, 0.0]), 4), (np.array([np.inf, 0.0, 0.0]), 4)],
+        ids=["even length", "2-D", "m=0", "m=8.5", "m=True", "m=1e6+1",
+             "nan coefficient", "inf coefficient"],
     )
     def test_rejects_bad_input(self, params, m):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -178,6 +179,24 @@ class TestKktResiduals:
         expected = np.max(np.abs(4.0 * x - a.T @ lam))
         assert stat == pytest.approx(expected, rel=1e-12)
 
+    def test_nan_iterate_is_not_feasible(self):
+        # max(0.0, nan) is 0.0: a NaN x must not read as primal feasible, nor
+        # a NaN lam as dual feasible.
+        p = QpProblem(q_diag=[1.0], a_rows=[[1.0]], g=[1.0])
+        for x, lam, nan_at in (([np.nan], [1.0], (0, 2, 3)), ([1.0], [np.nan], (1, 2, 3))):
+            s = QpSolution(
+                x=np.array(x),
+                lam=np.array(lam),
+                iterations=0,
+                converged=False,
+                primal_violation=0.0,
+                dual_violation=0.0,
+                complementarity=0.0,
+                stationarity=0.0,
+            )
+            res = kkt_residuals(p, s)
+            assert [i for i in range(4) if math.isnan(res[i])] == list(nan_at)
+
 
 class TestConvergedCertificates:
     def test_residuals_recompute_below_tolerance(self):
@@ -197,7 +216,7 @@ class TestConvergedCertificates:
         for _ in range(20):
             p = random_feasible_problem(rng)
             s = solve(p)
-            primal_obj = p.objective(s.x)
+            primal_obj = float(s.x @ (p.q_diag * s.x))
             dual_obj = float(s.lam @ p.g - primal_obj)
             assert dual_obj <= primal_obj + 1e-12
             assert primal_obj - dual_obj <= 1e-7 * (1 + abs(primal_obj))
@@ -232,7 +251,8 @@ class TestInvariances:
         rng = np.random.default_rng(11)
         for _ in range(10):
             p, x_ref = random_feasible_problem(rng, with_ref=True)
-            base = p.objective(solve(p).x)
+            x = solve(p).x
+            base = float(x @ (p.q_diag * x))
             # keep x_ref feasible so the tightened problem stays solvable
             row = rng.normal(size=p.d)
             extra = QpProblem(
@@ -240,7 +260,8 @@ class TestInvariances:
                 a_rows=np.vstack([p.a_rows, row]),
                 g=np.concatenate([p.g, [row @ x_ref - 0.05]]),
             )
-            tighter = extra.objective(solve(extra).x)
+            x = solve(extra).x
+            tighter = float(x @ (extra.q_diag * x))
             assert tighter >= base - 1e-9
 
     @pytest.mark.parametrize("scale", [1e-7, 1e-6, 1e-3, 1e3, 1e6])

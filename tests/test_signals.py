@@ -88,11 +88,25 @@ class TestValueAt:
     def test_wraparound_interpolation(self):
         sig = PeriodicSignal.from_samples([0.0, 1.0, 0.0, -1.0])
         assert sig.value_at(0.875) == pytest.approx(-0.5, abs=1e-15)
+        # np.mod(-1e-300, 1.0) rounds up to 1.0, the closed knot.
+        assert sig.value_at(-1e-300) == sig.samples[0]
+        np.testing.assert_array_equal(sig.value_at([1.0, 2.0, -3.0]), [sig.samples[0]] * 3)
 
-    def test_exact_at_grid_points(self):
-        sig = smooth_signal(0, m=64)
-        t = np.arange(64) / 64
-        np.testing.assert_array_equal(sig.value_at(t), sig.samples)
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("m", [64, 49, 100])
+    def test_exact_at_grid_points(self, m, k):
+        # The grid i/(k*m) holds every knot j/m; (1/49)*49 rounds below 1.
+        sig = smooth_signal(0, m=m)
+        t = np.arange(k * m) / (k * m)
+        np.testing.assert_array_equal(sig.value_at(t)[::k], sig.samples)
+
+    def test_exact_at_every_knot_for_every_sample_count(self):
+        for m in range(4, 400):
+            samples = 1000.0 * np.arange(m) + 1.0
+            sig = PeriodicSignal.from_samples(samples)
+            np.testing.assert_array_equal(
+                sig.value_at(np.arange(m) / m), samples, err_msg=f"m={m}"
+            )
 
     def test_periodicity(self):
         sig = smooth_signal(1, m=32)
