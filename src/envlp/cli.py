@@ -110,7 +110,7 @@ def cmd_ingest(args) -> int:
     sig = radial_parametrize(contour, M=args.samples)
     sidecar = {
         "centroid": [contour.centroid[0], contour.centroid[1]],
-        "star_shaped": bool(sig.star_shaped),
+        "star_shaped": contour.star_shaped,
         "samples": sig.m,
         "lipschitz_c": sig.lipschitz_c,
     }

@@ -6,7 +6,7 @@ over ``[-pi, pi)`` and maps affinely onto phase ``t = (theta + pi) / (2*pi)``,
 so sample index 0 points along ``-x``.  For star-shaped contours each ray
 meets the boundary once and the parametrization is exact; otherwise the
 largest intersection distance is kept (over-covering, never under-covering)
-and the resulting signal is flagged.
+and ``Contour.star_shaped`` is False.
 """
 
 from __future__ import annotations
@@ -31,7 +31,9 @@ def centroid(points) -> tuple[float, float]:
     """Area-weighted centroid of a closed polygon (shoelace formula).
 
     The cross terms are formed on coordinates relative to vertex 0, so the
-    area test and the result do not depend on where the polygon lies.
+    area test and the result do not depend on where the polygon lies, and
+    divided by a power of two near their largest magnitude, which is exact
+    and keeps the cubic terms in the float range at any scale.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if not np.all(np.isfinite(pts)):
@@ -39,14 +41,17 @@ def centroid(points) -> tuple[float, float]:
     if pts.shape[0] < 3:
         raise DegeneratePolygon(f"polygon needs >= 3 vertices, got {pts.shape[0]}")
     rel = pts - pts[0]
+    # 2**(e - 1) rather than 2**e, which is inf for extents near 1e308.
+    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(rel)))[1] - 1)
+    rel = rel / scale
     x, y = rel[:, 0], rel[:, 1]
     xn, yn = np.roll(x, -1), np.roll(y, -1)
     cross = x * yn - xn * y
     area = 0.5 * float(np.sum(cross))
     if abs(area) <= _AREA_EPS * float(np.max(np.abs(rel))) ** 2:
         raise DegeneratePolygon("polygon area is numerically zero")
-    cx = float(pts[0, 0] + np.sum((x + xn) * cross) / (6.0 * area))
-    cy = float(pts[0, 1] + np.sum((y + yn) * cross) / (6.0 * area))
+    cx = float(pts[0, 0] + scale * (np.sum((x + xn) * cross) / (6.0 * area)))
+    cy = float(pts[0, 1] + scale * (np.sum((y + yn) * cross) / (6.0 * area)))
     return cx, cy
 
 
@@ -152,6 +157,19 @@ class Contour:
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         return cls(points=pts, centroid=centroid(pts))
 
+    @property
+    def star_shaped(self) -> bool:
+        """True exactly when the polygon is star-shaped about ``centroid``:
+        seen from there, no edge turns against the polygon's orientation.
+        It is read off the edges, so it holds for every ray count; a notch or
+        overhang that falls between two rays still clears it."""
+        px, py = self.points[:, 0], self.points[:, 1]
+        ex, ey = np.roll(px, -1) - px, np.roll(py, -1) - py
+        wx, wy = px - self.centroid[0], py - self.centroid[1]
+        s_num = wx * ey - wy * ex
+        tol = _RAY_EPS * np.hypot(wx, wy) * np.hypot(ex, ey)
+        return not np.any(s_num * np.sign(np.sum(s_num)) < -tol)
+
 
 def radial_parametrize(contour: Contour, M: int = 1024) -> PeriodicSignal:
     """Radial signal of the contour on ``M`` uniform angles.
@@ -162,8 +180,6 @@ def radial_parametrize(contour: Contour, M: int = 1024) -> PeriodicSignal:
     plus one ray and a rounding slack on each side, so a hit is never missed
     and the cost is O(V + M) for a star-shaped polygon; pairs are formed in
     chunks, so memory stays bounded for any ``M`` and vertex count.
-    ``star_shaped`` is read off the edges: True exactly when the polygon is
-    star-shaped about its centroid, i.e. seen from there no edge turns back.
     """
     M = _check_count(M, _MIN_RAYS, "M")
     px, py = contour.points[:, 0], contour.points[:, 1]
@@ -207,8 +223,7 @@ def radial_parametrize(contour: Contour, M: int = 1024) -> PeriodicSignal:
             f"ray at angle {theta[missed[0]]:.6f} missed the boundary; "
             "is the centroid inside the polygon?"
         )
-    backwards = s_num * np.sign(np.sum(s_num)) < -_RAY_EPS * w_len * e_len
-    return PeriodicSignal.from_samples(far, star_shaped=not np.any(backwards))
+    return PeriodicSignal.from_samples(far)
 
 
 def reconstruct_region(

@@ -10,7 +10,8 @@ class TooFewSamples(EnvelopeError, ValueError):
 
 
 class NonFiniteSample(EnvelopeError, ValueError):
-    """Signal samples must all be finite."""
+    """Signal samples must all be finite and at most ``MAX_MAGNITUDE`` (1e150)
+    in magnitude."""
 
 
 class LipschitzTooSmall(EnvelopeError, ValueError):

@@ -18,6 +18,8 @@ import numpy as np
 from .errors import LipschitzTooSmall, NonFiniteSample, TooFewSamples
 
 MIN_SAMPLES = 4
+# Costs square the samples; above this they would leave the float range.
+MAX_MAGNITUDE = 1e150
 
 # The interpolant's slope is exactly ``observed_slope``, so its guarantee needs
 # no factor.  What the larger lift does is hide contour tips that fall between
@@ -54,17 +56,15 @@ class PeriodicSignal:
     """One period of a real signal on a uniform grid.
 
     ``lipschitz_c`` bounds the interpolant slope (and, when user-supplied, the
-    slope of the underlying signal).  ``star_shaped`` is optional geometry
-    metadata set by the contour pipeline: ``False`` flags a radial profile
-    that over-covers a non-star-shaped region.  The constructor checks that
-    there are at least ``MIN_SAMPLES`` finite samples, that ``lipschitz_c``
-    is finite and at least their observed slope, and ``c_provenance``.
+    slope of the underlying signal).  The constructor checks that there are
+    at least ``MIN_SAMPLES`` samples, each at most ``MAX_MAGNITUDE`` in
+    magnitude, that ``lipschitz_c`` is finite and at least their observed
+    slope, and ``c_provenance``.
     """
 
     samples: np.ndarray
     lipschitz_c: float
     c_provenance: str
-    star_shaped: bool | None = None
 
     def __post_init__(self):
         samples = np.array(self.samples, dtype=float).reshape(-1)
@@ -72,8 +72,10 @@ class PeriodicSignal:
             raise TooFewSamples(
                 f"need at least {MIN_SAMPLES} samples, got {samples.shape[0]}"
             )
-        if not np.all(np.isfinite(samples)):
-            raise NonFiniteSample("signal samples must all be finite")
+        if not np.all(np.abs(samples) <= MAX_MAGNITUDE):
+            raise NonFiniteSample(
+                f"signal samples must be finite and at most {MAX_MAGNITUDE:g} in magnitude"
+            )
         c = float(self.lipschitz_c)
         if not 0 <= c < np.inf:
             raise LipschitzTooSmall(f"slope bound must be finite and nonnegative, got {c}")
@@ -92,12 +94,7 @@ class PeriodicSignal:
         object.__setattr__(self, "lipschitz_c", c)
 
     @classmethod
-    def from_samples(
-        cls,
-        values,
-        lipschitz_c: float | None = None,
-        star_shaped: bool | None = None,
-    ) -> "PeriodicSignal":
+    def from_samples(cls, values, lipschitz_c: float | None = None) -> "PeriodicSignal":
         """Attach a slope bound to samples; the constructor validates both.
 
         When ``lipschitz_c`` is omitted it is estimated as ``SLOPE_SAFETY``
@@ -109,12 +106,7 @@ class PeriodicSignal:
             lipschitz_c, provenance = SLOPE_SAFETY * observed_slope(values), ESTIMATED
         else:
             provenance = USER_SUPPLIED
-        return cls(
-            samples=values,
-            lipschitz_c=lipschitz_c,
-            c_provenance=provenance,
-            star_shaped=star_shaped,
-        )
+        return cls(samples=values, lipschitz_c=lipschitz_c, c_provenance=provenance)
 
     @property
     def m(self) -> int:

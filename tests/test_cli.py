@@ -84,6 +84,17 @@ class TestApproximate:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
+    def test_out_of_range_samples_rejected(self, tmp_path, capsys):
+        # Costs square the samples: at 1e155 they would overflow the float range.
+        path = tmp_path / "huge.csv"
+        t = np.arange(64) / 64
+        write_signal_csv(path, 1e155 * (1.5 + np.cos(2 * np.pi * t)))
+        assert main(["approximate", str(path), "--L", "2", "--n", "32"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("envlp: error: ")
+        assert captured.err.count("\n") == 1
+
     def test_output_file_byte_identical(self, cos_csv, tmp_path):
         out1 = tmp_path / "r1.json"
         out2 = tmp_path / "r2.json"

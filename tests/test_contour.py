@@ -231,7 +231,7 @@ def assert_matches_per_ray_loop(contour, M):
     assert not isinstance(expected, str), expected
     samples, star_shaped = expected
     assert np.array_equal(sig.samples, samples)
-    assert sig.star_shaped is star_shaped
+    assert contour.star_shaped is star_shaped
 
 
 class TestCentroid:
@@ -395,7 +395,7 @@ class TestRadialParametrize:
         sig = radial_parametrize(contour, M=256)
         assert sig.samples.max() <= 3.0 * (1 + 1e-12)
         assert sig.samples.min() >= 3.0 * (1 - 0.002)
-        assert sig.star_shaped is True
+        assert contour.star_shaped is True
 
     def test_square_ray_distances(self):
         sig = radial_parametrize(Contour.from_points(UNIT_SQUARE), M=256)
@@ -415,8 +415,14 @@ class TestRadialParametrize:
         assert sig.samples[64] == pytest.approx(1.0, abs=1e-6)  # theta = -pi/2
 
     def test_non_star_shape_flagged_and_over_covered(self):
-        sig = radial_parametrize(Contour.from_points(NOTCHED), M=256)
-        assert sig.star_shaped is False
+        assert Contour.from_points(NOTCHED).star_shaped is False
+
+    def test_star_shaped_depends_on_the_centre(self):
+        # The L-shape is star-shaped about points of its corner square only.
+        pts = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
+        assert Contour(pts, (0.5, 0.5)).star_shaped is True
+        assert Contour.from_points(pts).star_shaped is True
+        assert Contour(pts, (1.8, 0.5)).star_shaped is False
 
     def test_centroid_outside_material(self):
         # horseshoe: centroid sits in the void, some rays escape unhit
@@ -440,13 +446,13 @@ class TestRadialParametrize:
         samples, star_shaped = radial_reference(contour, M)
         sig = radial_parametrize(contour, M=M)
         assert np.array_equal(sig.samples, samples)
-        assert sig.star_shaped is star_shaped
+        assert contour.star_shaped is star_shaped
         assert star_shaped is (shape == "star")
 
     @pytest.mark.parametrize("M", [64, 1000, 5001])
     def test_overhang_between_rays_not_star(self, M):
         contour = Contour.from_points(overhang_disk())
-        assert radial_parametrize(contour, M=M).star_shaped is False
+        assert contour.star_shaped is False
         # The rays see the overhang only once they are dense enough.
         assert radial_reference(contour, M)[1] is (M == 64)
 
@@ -456,15 +462,17 @@ class TestRadialParametrize:
         for pts in random_polygons(count=120, seed=21):
             try:
                 contour = Contour.from_points(pts)
-                sig = radial_parametrize(contour, M=1000)
+                radial_parametrize(contour, M=1000)
             except (DegeneratePolygon, NoIntersection):
                 continue
-            flags.append(sig.star_shaped)
-            if sig.star_shaped:
+            flags.append(contour.star_shaped)
+            if contour.star_shaped:
                 assert radial_reference(contour, 1000)[1] is True
         assert 10 <= sum(flags) <= len(flags) - 10
 
-    @pytest.mark.parametrize("scale", [1e-12, 1e-7, 1e-3, 1e4, 1e8])
+    @pytest.mark.parametrize(
+        "scale", [1e-150, 1e-120, 1e-12, 1e-7, 1e-3, 1e4, 1e8, 1e120, 1e140]
+    )
     def test_scaled_polygon_scales_samples(self, scale):
         pts = star_points(tips=tuple(k / 20 for k in range(20)), r_inner=0.8)
         base = Contour.from_points(pts)
@@ -474,7 +482,7 @@ class TestRadialParametrize:
         )
         sig, ref = radial_parametrize(contour, M=256), radial_parametrize(base, M=256)
         np.testing.assert_allclose(sig.samples, scale * ref.samples, rtol=1e-12)
-        assert sig.star_shaped is ref.star_shaped is True
+        assert contour.star_shaped is base.star_shaped is True
 
     def test_minimum_sample_count(self):
         with pytest.raises(ValueError):
@@ -656,7 +664,7 @@ class TestBlockedKernelMemory:
             ray_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sig.star_shaped is False
+        assert contour.star_shaped is False
         assert scan_peak < 8e6
         assert ray_peak < 8e6
 

@@ -33,6 +33,9 @@ class TestFromSamples:
         samples = [np.nan] + [1.0] * 7
         with pytest.raises(NonFiniteSample):
             PeriodicSignal(samples=samples, lipschitz_c=1.0, c_provenance="user_supplied")
+        # Costs square the samples, so magnitudes above 1e150 are out of range too.
+        with pytest.raises(NonFiniteSample, match="at most 1e\\+150 in magnitude"):
+            PeriodicSignal.from_samples([0.0, 1e155, 0.0, -1e155])
 
     def test_unknown_provenance_rejected(self):
         with pytest.raises(ValueError, match="c_provenance"):

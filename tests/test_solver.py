@@ -95,7 +95,8 @@ class TestSolveAppopt:
         assert env.b0 == pytest.approx(0.0, abs=1e-12)
         assert env.energy() == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("scale", [1.0, 1e-8, 1e5, 1e8])
+    # 3e149 puts the largest smooth sample within 15% of MAX_MAGNITUDE (1e150).
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e-8, 1e5, 1e8, 3e149])
     @pytest.mark.parametrize("family", sorted(SCALE_FAMILIES))
     def test_scaled_signal_scales_params(self, family, scale):
         samples, L, n = SCALE_FAMILIES[family]
