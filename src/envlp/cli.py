@@ -173,7 +173,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_certify(args) -> int:
     with open(args.result_json) as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{args.result_json} nests JSON too deeply to read") from None
     if not isinstance(payload, dict) or "subopt" not in payload:
         raise ValueError(f"{args.result_json} is not a result written by approximate")
     subopt = FourierEnvelope.from_dict(payload["subopt"])

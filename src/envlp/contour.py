@@ -132,19 +132,20 @@ def _check_simple(pts: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Contour:
-    """Ordered polygon vertices (implicitly closed) plus their centroid,
-    validated on construction: at least 3 finite vertices, nonzero area, no
-    two non-adjacent edges crossing (the first crossing pair in ``(i, j)``
-    order is reported), and a centroid of two finite numbers."""
+    """Ordered polygon vertices (implicitly closed) plus a centroid, by
+    default the polygon's area-weighted :func:`centroid`.  Validated on
+    construction: at least 3 finite vertices, nonzero area, no two
+    non-adjacent edges crossing (the first crossing pair in ``(i, j)``
+    order is reported), and a given centroid of two finite numbers."""
 
     points: np.ndarray
-    centroid: tuple[float, float]
+    centroid: tuple[float, float] | None = None
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float).reshape(-1, 2)
-        centroid(pts)  # finite vertices, at least 3 of them, nonzero area
+        c = centroid(pts)  # finite vertices, at least 3 of them, nonzero area
         _check_simple(pts)
-        c = np.asarray(self.centroid, dtype=float)
+        c = np.asarray(c if self.centroid is None else self.centroid, dtype=float)
         if c.shape != (2,) or not np.all(np.isfinite(c)):
             raise ValueError(f"centroid must be two finite numbers, got {self.centroid!r}")
         pts.setflags(write=False)
@@ -153,9 +154,8 @@ class Contour:
 
     @classmethod
     def from_points(cls, points) -> "Contour":
-        """Validated contour about the polygon's area-weighted centroid."""
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        return cls(points=pts, centroid=centroid(pts))
+        """Same as ``Contour(points)``: about the area-weighted centroid."""
+        return cls(points=points)
 
     @property
     def star_shaped(self) -> bool:

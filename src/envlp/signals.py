@@ -10,7 +10,7 @@ signal require a user-supplied slope bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -56,15 +56,17 @@ class PeriodicSignal:
     """One period of a real signal on a uniform grid.
 
     ``lipschitz_c`` bounds the interpolant slope (and, when user-supplied, the
-    slope of the underlying signal).  The constructor checks that there are
-    at least ``MIN_SAMPLES`` samples, each at most ``MAX_MAGNITUDE`` in
-    magnitude, that ``lipschitz_c`` is finite and at least their observed
-    slope, and ``c_provenance``.
+    slope of the underlying signal).  Omitted, it is estimated as
+    ``SLOPE_SAFETY`` times the observed slope; ``c_provenance`` records which
+    (``ESTIMATED`` or ``USER_SUPPLIED``) and cannot be passed in.  The
+    constructor checks that there are at least ``MIN_SAMPLES`` samples, each
+    at most ``MAX_MAGNITUDE`` in magnitude, and that ``lipschitz_c`` is
+    finite and at least their observed slope.
     """
 
     samples: np.ndarray
-    lipschitz_c: float
-    c_provenance: str
+    lipschitz_c: float | None = None
+    c_provenance: str = field(init=False)
 
     def __post_init__(self):
         samples = np.array(self.samples, dtype=float).reshape(-1)
@@ -76,37 +78,26 @@ class PeriodicSignal:
             raise NonFiniteSample(
                 f"signal samples must be finite and at most {MAX_MAGNITUDE:g} in magnitude"
             )
-        c = float(self.lipschitz_c)
+        observed = observed_slope(samples)
+        if self.lipschitz_c is None:
+            c, provenance = SLOPE_SAFETY * observed, ESTIMATED
+        else:
+            c, provenance = float(self.lipschitz_c), USER_SUPPLIED
         if not 0 <= c < np.inf:
             raise LipschitzTooSmall(f"slope bound must be finite and nonnegative, got {c}")
-        observed = observed_slope(samples)
         if c < observed * (1.0 - _SLOPE_SLACK):
             raise LipschitzTooSmall(
                 f"slope bound {c} is below the observed discrete slope {observed}"
             )
-        if self.c_provenance not in (USER_SUPPLIED, ESTIMATED):
-            raise ValueError(
-                f"c_provenance must be {USER_SUPPLIED!r} or {ESTIMATED!r}, "
-                f"got {self.c_provenance!r}"
-            )
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "lipschitz_c", c)
+        object.__setattr__(self, "c_provenance", provenance)
 
     @classmethod
     def from_samples(cls, values, lipschitz_c: float | None = None) -> "PeriodicSignal":
-        """Attach a slope bound to samples; the constructor validates both.
-
-        When ``lipschitz_c`` is omitted it is estimated as ``SLOPE_SAFETY``
-        times the largest observed discrete slope; a supplied value below the
-        observed slope is rejected.
-        """
-        values = np.asarray(values, dtype=float).reshape(-1)
-        if lipschitz_c is None:
-            lipschitz_c, provenance = SLOPE_SAFETY * observed_slope(values), ESTIMATED
-        else:
-            provenance = USER_SUPPLIED
-        return cls(samples=values, lipschitz_c=lipschitz_c, c_provenance=provenance)
+        """Same as ``PeriodicSignal(values, lipschitz_c)``."""
+        return cls(samples=values, lipschitz_c=lipschitz_c)
 
     @property
     def m(self) -> int:

@@ -11,6 +11,7 @@ the unlifted and the lifted cost from the continuum optimum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,12 +155,25 @@ def solve_appopt(
 
 def _lift_delta(appopt: FourierEnvelope, c: float, c_prime: float, n: int) -> float:
     """The DC lift ``(c + c')/n`` after checking that ``c`` and ``c'`` are
-    finite and nonnegative and that ``n`` passes :func:`check_run` for the
-    budget of ``appopt``."""
+    finite and nonnegative, that ``n`` passes :func:`check_run` for the
+    budget of ``appopt``, and that the lifted cost stays in the float range.
+
+    The lifted DC squared bounds the gap ``2*b0*delta + delta**2`` and, held
+    to half the largest float, leaves room for the harmonics, whose energy
+    is at most ``MAX_MAGNITUDE**2`` for a solved signal.  The product is
+    taken in Python floats, which overflow to inf without a warning.
+    """
     if not (0 <= c < np.inf and 0 <= c_prime < np.inf):
         raise ValueError(f"slope bounds must be finite and nonnegative, got {c} and {c_prime}")
     check_run(appopt.L, n)
-    return (c + c_prime) / n
+    delta = (c + c_prime) / n
+    top = abs(appopt.b0) + float(delta)
+    if not math.isfinite(2.0 * top * top):
+        raise ValueError(
+            f"lift {delta:.6g} on DC {appopt.b0:.6g} puts the envelope's cost "
+            "out of the float range"
+        )
+    return delta
 
 
 def lift_to_envelope(
@@ -195,7 +209,10 @@ def certify(
     value of envelope minus signal over ``grid_m`` uniform phases; the check
     passes when ``min_margin >= -CERTIFY_TOL * sig.sup_norm()``.  A grid at
     least four times denser than ``max(L, 1) * n`` is recommended so dips
-    between constraint phases are visible.  The margin is the slack
+    between constraint phases are visible; when ``grid_m`` divides ``n``
+    (the default 8192 and ``n = 16384``, say) every phase checked is a
+    constraint phase, and between them only the lift guarantees the
+    envelope.  The margin is the slack
     ``A x - g`` of :class:`_GridProblem` on ``grid_m`` phases, ``x`` the
     envelope's parameters: one inverse real FFT, exact for every grid size.
     """
@@ -218,8 +235,12 @@ def approximate(
     ``c_prime_mode`` selects the envelope slope bound: ``exact_postsolve``
     (default; computed from the realized coefficients, tighter) or
     ``apriori`` (available before solving, reproduces the original
-    construction).  ``initial_lam`` is a warm start as in
-    :func:`solve_appopt`: the multipliers of a run on any grid.
+    construction).  ``grid_m`` is the certification grid of
+    :func:`certify`; when it divides ``n`` it holds only constraint phases,
+    so ``certified`` re-checks the solve there, and between constraint
+    phases the lift is what guarantees the result.  ``initial_lam`` is a
+    warm start as in :func:`solve_appopt`: the multipliers of a run on any
+    grid.
     """
     if c_prime_mode not in C_PRIME_MODES:
         raise ValueError(

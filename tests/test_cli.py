@@ -95,6 +95,23 @@ class TestApproximate:
         assert captured.err.startswith("envlp: error: ")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("bound", ["user", "estimated"])
+    def test_lift_out_of_float_range_rejected(self, cos_csv, tmp_path, capsys, bound):
+        # The lifted DC squares into the cost; at (c + c')/n near 1e154 and
+        # above, the cost would leave the float range.
+        if bound == "user":
+            argv = ["approximate", cos_csv, "--L", "1", "--n", "64", "--lipschitz", "1e160"]
+        else:
+            path = tmp_path / "alternating.csv"
+            write_signal_csv(path, np.resize([1e150, -1e150], 16384))
+            argv = ["approximate", str(path), "--L", "1", "--n", "3"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("envlp: error: ")
+        assert "float range" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_output_file_byte_identical(self, cos_csv, tmp_path):
         out1 = tmp_path / "r1.json"
         out2 = tmp_path / "r2.json"
@@ -262,6 +279,13 @@ class TestSweep:
         assert rows[1] == {"L": 0, "n": 16, "error": "qp: forced failure"}
         assert "cost_appopt" in rows[2]
 
+    def test_lift_out_of_float_range_is_an_error_row(self, cos_csv, capsys):
+        rc = main(["sweep", cos_csv, "--L", "1", "--n", "64", "--lipschitz", "1e160"])
+        rows = json.loads(capsys.readouterr().out)
+        assert rc == 3
+        assert rows == [{"L": 1, "n": 64, "error": rows[0]["error"]}]
+        assert "float range" in rows[0]["error"]
+
     def test_csv_table_format(self, cos_csv, capsys):
         rc = main(["sweep", cos_csv, "--L", "1", "--n", "8,16", "--format", "csv"])
         lines = capsys.readouterr().out.strip().splitlines()
@@ -374,6 +398,15 @@ class TestCertify:
         result.write_text(json.dumps(edit(json.loads(result.read_text()))))
         assert main(["certify", str(result), cos_csv]) == 1
         assert "envlp: error:" in capsys.readouterr().err
+
+    def test_deeply_nested_json_is_an_input_error(self, cos_csv, tmp_path, capsys):
+        result = tmp_path / "deep.json"
+        result.write_text("[" * 100000 + "]" * 100000)
+        assert main(["certify", str(result), cos_csv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"envlp: error: {result}")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "subopt",

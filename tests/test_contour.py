@@ -291,11 +291,16 @@ class TestContourValidation:
         assert str(direct.value) == str(expected.value)
 
     @pytest.mark.parametrize(
-        "c", [(np.nan, 0.5), (0.5, np.inf), (0.5,), (0.5, 0.5, 0.5), None]
+        "c", [(np.nan, 0.5), (0.5, np.inf), (0.5,), (0.5, 0.5, 0.5)]
     )
     def test_constructor_rejects_bad_centroid(self, c):
         with pytest.raises(ValueError, match="centroid must be two finite numbers"):
             Contour(points=UNIT_SQUARE, centroid=c)
+
+    @pytest.mark.parametrize("points", [UNIT_SQUARE, star_points()], ids=["square", "star"])
+    def test_constructor_defaults_to_area_centroid(self, points):
+        assert Contour(points).centroid == Contour.from_points(points).centroid
+        assert Contour(points).centroid == centroid(points)
 
     def test_constructor_freezes_a_copy(self):
         pts = np.asarray(UNIT_SQUARE, dtype=float)
@@ -310,6 +315,15 @@ class TestContourValidation:
         real = contour_module._check_simple
         monkeypatch.setattr(
             contour_module, "_check_simple", lambda pts: calls.append(1) or real(pts)
+        )
+        Contour.from_points(UNIT_SQUARE)
+        assert len(calls) == 1
+
+    def test_from_points_computes_centroid_once(self, monkeypatch):
+        calls = []
+        real = contour_module.centroid
+        monkeypatch.setattr(
+            contour_module, "centroid", lambda pts: calls.append(1) or real(pts)
         )
         Contour.from_points(UNIT_SQUARE)
         assert len(calls) == 1

@@ -23,7 +23,7 @@ class TestFromSamples:
         with pytest.raises(TooFewSamples):
             PeriodicSignal.from_samples([0.0, 1.0])
         with pytest.raises(TooFewSamples, match="at least 4 samples, got 2"):
-            PeriodicSignal(samples=[0.0, 1.0], lipschitz_c=4.0, c_provenance="user_supplied")
+            PeriodicSignal(samples=[0.0, 1.0], lipschitz_c=4.0)
 
     def test_non_finite(self):
         with pytest.raises(NonFiniteSample):
@@ -32,21 +32,28 @@ class TestFromSamples:
             PeriodicSignal.from_samples([np.inf, np.inf, 0.0, 0.0])
         samples = [np.nan] + [1.0] * 7
         with pytest.raises(NonFiniteSample):
-            PeriodicSignal(samples=samples, lipschitz_c=1.0, c_provenance="user_supplied")
+            PeriodicSignal(samples=samples, lipschitz_c=1.0)
         # Costs square the samples, so magnitudes above 1e150 are out of range too.
         with pytest.raises(NonFiniteSample, match="at most 1e\\+150 in magnitude"):
             PeriodicSignal.from_samples([0.0, 1e155, 0.0, -1e155])
 
-    def test_unknown_provenance_rejected(self):
-        with pytest.raises(ValueError, match="c_provenance"):
-            PeriodicSignal(samples=[0.0, 1.0, 0.0, -1.0], lipschitz_c=4.0, c_provenance="x")
+    def test_constructor_derives_provenance(self):
+        values = [0.0, 1.0, 0.0, -1.0]
+        assert PeriodicSignal(values).c_provenance == "estimated"
+        assert PeriodicSignal(values, 4.5).c_provenance == "user_supplied"
+        direct, named = PeriodicSignal(values), PeriodicSignal.from_samples(values)
+        assert direct.lipschitz_c.hex() == named.lipschitz_c.hex()
+        np.testing.assert_array_equal(direct.samples, named.samples)
+        # The provenance is derived, so it cannot be passed in.
+        with pytest.raises(TypeError):
+            PeriodicSignal(values, 1.0, "user_supplied")
 
     def test_user_slope_below_observed_rejected(self):
         values = [0.0, 1.0, 0.0, -1.0]
         with pytest.raises(LipschitzTooSmall):
             PeriodicSignal.from_samples(values, lipschitz_c=1.0)
         with pytest.raises(LipschitzTooSmall, match="below the observed"):
-            PeriodicSignal(samples=values, lipschitz_c=1.0, c_provenance="estimated")
+            PeriodicSignal(samples=values, lipschitz_c=1.0)
 
     @pytest.mark.parametrize("c", [np.nan, np.inf])
     def test_non_finite_user_slope_rejected(self, c):
@@ -54,7 +61,7 @@ class TestFromSamples:
         with pytest.raises(LipschitzTooSmall):
             PeriodicSignal.from_samples(values, lipschitz_c=c)
         with pytest.raises(LipschitzTooSmall, match="finite and nonnegative"):
-            PeriodicSignal(samples=values, lipschitz_c=c, c_provenance="user_supplied")
+            PeriodicSignal(samples=values, lipschitz_c=c)
 
     @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e8])
     @pytest.mark.parametrize("ratio", [0.5, 1 - 1e-12])

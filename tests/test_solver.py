@@ -240,6 +240,23 @@ class TestLift:
             with pytest.raises(ValueError):
                 func(appopt, c, c_prime, n)
 
+    @pytest.mark.parametrize("func", [lift_to_envelope, gap_bound], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        "b0, c", [(1 / 3, 1e200), (2e154, 0.0), (-1e160, 1.0)],
+        ids=["huge_c", "huge_dc", "negative_dc"],
+    )
+    def test_rejects_cost_out_of_float_range(self, func, b0, c):
+        # Unchecked, gap_bound returned inf for the first case, and the lifted
+        # envelope's energy() raised OverflowError for each.
+        appopt = FourierEnvelope(L=1, b0=b0, b_re=[0.1], b_im=[0.0])
+        with pytest.raises(ValueError, match="out of the float range"):
+            func(appopt, c, 0.0, 64)
+
+    def test_largest_signal_lifts(self):
+        sig = PeriodicSignal.from_samples(np.resize([1e150, -1e150], 64))
+        result = approximate(sig, L=1, n=64)
+        assert np.isfinite(result.cost_subopt) and np.isfinite(result.gap_bound)
+
 
 class TestGapBound:
     def test_formula_value(self):
