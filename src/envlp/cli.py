@@ -95,7 +95,6 @@ def cmd_approximate(args) -> int:
         L=args.L,
         n=args.n,
         c_prime_mode=_CPRIME_FLAGS[args.cprime_mode],
-        grid_m=args.grid,
     )
     _emit(dumps(result.to_dict()), args.out)
     return EXIT_OK if result.certified else EXIT_UNCERTIFIED
@@ -134,7 +133,6 @@ def _sweep_rows(sig: PeriodicSignal, args):
                 L=L,
                 n=n,
                 c_prime_mode=_CPRIME_FLAGS[args.cprime_mode],
-                grid_m=args.grid,
                 initial_lam=warm.get(L),
             )
         except (EnvelopeError, ValueError) as exc:
@@ -163,7 +161,7 @@ def cmd_sweep(args) -> int:
             if value in values[:i]:
                 raise ValueError(f"{flag} lists {value} more than once")
     for L, n in product(args.L, args.n):
-        solver.check_run(L, n, args.grid)
+        solver.check_run(L, n)
     rows = _sweep_rows(_load_signal(args.signal_csv, args.lipschitz), args)
     text = _sweep_csv(rows) if args.format == "csv" else dumps(rows)
     _emit(text, args.out)
@@ -201,15 +199,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None)
-    grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--grid", type=int, default=solver.DEFAULT_CERTIFY_GRID)
     solve = argparse.ArgumentParser(add_help=False)
     solve.add_argument("signal_csv")
     solve.add_argument("--lipschitz", type=float, default=None, help="signal slope bound")
     solve.add_argument("--cprime-mode", choices=sorted(_CPRIME_FLAGS), default="exact")
 
     p = sub.add_parser(
-        "approximate", parents=[solve, grid, out], help="solve one (L, n) run on a signal CSV"
+        "approximate", parents=[solve, out], help="solve one (L, n) run on a signal CSV"
     )
     p.add_argument("--L", type=int, required=True, help="harmonic budget")
     p.add_argument("--n", type=int, required=True, help="constraint count")
@@ -223,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser(
-        "sweep", parents=[solve, grid, out], help="grid of (L, n) runs; JSON array or CSV table"
+        "sweep", parents=[solve, out], help="grid of (L, n) runs; JSON array or CSV table"
     )
     p.add_argument("--L", type=_int_list, required=True, help="comma list, e.g. 1,2,5")
     p.add_argument("--n", type=_int_list, required=True, help="comma list, e.g. 8,16,32")
@@ -231,10 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser(
-        "certify", parents=[grid, out], help="re-check a stored result against a signal"
+        "certify", parents=[out], help="re-check a stored result against a signal"
     )
     p.add_argument("result_json")
     p.add_argument("signal_csv")
+    p.add_argument("--grid", type=int, default=solver.DEFAULT_CERTIFY_GRID)
     p.set_defaults(func=cmd_certify)
 
     return parser
@@ -247,7 +244,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (EnvelopeError, OSError, ValueError, KeyError) as exc:
+    except (EnvelopeError, OSError, ValueError) as exc:
         print(f"envlp: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

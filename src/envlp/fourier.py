@@ -50,14 +50,14 @@ def _check_count(value, low: int, what: str) -> int:
     return int(value)
 
 
-def check_run(L: int, n: int | None = None, grid_m: int | None = None) -> None:
-    """Validate a harmonic budget, constraint count and certification grid.
+def check_run(L: int, n: int | None = None) -> None:
+    """Validate a run: its harmonic budget and constraint count.
 
     Each must be an integer: an integral float passes, a bool or a
     non-integral or non-finite value does not.  ``L`` must lie in
     ``[0, MAX_HARMONICS]``; ``n`` (when given) in ``[2L+1, MAX_CONSTRAINTS]``,
     because with fewer than ``2L+1`` rows the polynomial between grid points
-    is uncontrolled; ``grid_m`` (when given) in ``[16, MAX_CONSTRAINTS]``.
+    is uncontrolled.
     """
     if not _integral(L):
         raise ValueError(f"harmonic budget must be an integer, got {L!r}")
@@ -69,8 +69,6 @@ def check_run(L: int, n: int | None = None, grid_m: int | None = None) -> None:
         if _integral(n) and n < 2 * L + 1:
             raise TooFewConstraints(f"need n >= 2L+1 = {2 * L + 1}, got n={n}")
         _check_count(n, 2 * L + 1, "n")
-    if grid_m is not None:
-        _check_count(grid_m, 16, "certification grid")
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,6 +109,13 @@ class FourierEnvelope:
         object.__setattr__(self, "b0", float(self.b0))
         object.__setattr__(self, "b_re", b_re)
         object.__setattr__(self, "b_im", b_im)
+        try:
+            with np.errstate(over="ignore"):
+                energy = self.energy()
+        except OverflowError:
+            energy = np.inf
+        if not np.isfinite(energy):
+            raise ValueError("coefficients have an energy out of the float range")
 
     @classmethod
     def from_params(cls, L: int, params: np.ndarray) -> "FourierEnvelope":

@@ -19,6 +19,7 @@ import numpy as np
 from . import qp
 from .fourier import (
     FourierEnvelope,
+    _check_count,
     _grid_values,
     _phasors,
     apriori_derivative_bound,
@@ -207,17 +208,18 @@ def certify(
 
     Returns ``(certified, min_margin)`` where ``min_margin`` is the smallest
     value of envelope minus signal over ``grid_m`` uniform phases; the check
-    passes when ``min_margin >= -CERTIFY_TOL * sig.sup_norm()``.  A grid at
-    least four times denser than ``max(L, 1) * n`` is recommended so dips
-    between constraint phases are visible; when ``grid_m`` divides ``n``
-    (the default 8192 and ``n = 16384``, say) every phase checked is a
-    constraint phase, and between them only the lift guarantees the
-    envelope.  The margin is the slack
-    ``A x - g`` of :class:`_GridProblem` on ``grid_m`` phases, ``x`` the
-    envelope's parameters: one inverse real FFT, exact for every grid size.
+    passes when ``min_margin >= -CERTIFY_TOL * sig.sup_norm()``.  ``grid_m``
+    (an integer from 16 to ``MAX_CONSTRAINTS``) is set and checked here
+    only; :func:`approximate` uses the default.  A grid at least four times
+    denser than ``max(L, 1) * n`` is recommended so dips between constraint
+    phases are visible; when ``grid_m`` divides ``n`` (the default 8192 and
+    ``n = 16384``, say) every phase checked is a constraint phase, and
+    between them only the lift guarantees the envelope.  The margin is the
+    slack ``A x - g`` of :class:`_GridProblem` on ``grid_m`` phases, ``x``
+    the envelope's parameters: one inverse real FFT, exact for every grid
+    size.
     """
-    check_run(subopt.L, grid_m=grid_m)
-    grid = _GridProblem(sig, subopt.L, int(grid_m))
+    grid = _GridProblem(sig, subopt.L, _check_count(grid_m, 16, "certification grid"))
     min_margin = float(np.min(grid.matvec(subopt.params()) - grid.g))
     return min_margin >= -CERTIFY_TOL * sig.sup_norm(), min_margin
 
@@ -227,7 +229,6 @@ def approximate(
     L: int,
     n: int,
     c_prime_mode: str = EXACT_POSTSOLVE,
-    grid_m: int = DEFAULT_CERTIFY_GRID,
     initial_lam: np.ndarray | None = None,
 ) -> EnvelopeResult:
     """Full pipeline: solve, bound the envelope slope, lift, bound, certify.
@@ -235,18 +236,18 @@ def approximate(
     ``c_prime_mode`` selects the envelope slope bound: ``exact_postsolve``
     (default; computed from the realized coefficients, tighter) or
     ``apriori`` (available before solving, reproduces the original
-    construction).  ``grid_m`` is the certification grid of
-    :func:`certify`; when it divides ``n`` it holds only constraint phases,
-    so ``certified`` re-checks the solve there, and between constraint
-    phases the lift is what guarantees the result.  ``initial_lam`` is a
-    warm start as in :func:`solve_appopt`: the multipliers of a run on any
-    grid.
+    construction).  ``certified`` comes from :func:`certify` on its default
+    ``DEFAULT_CERTIFY_GRID`` = 8192 phases; when 8192 divides ``n`` these
+    are all constraint phases, so it re-checks the solve there, and between
+    constraint phases the lift is what guarantees the result.  For another
+    grid call ``certify(result.subopt, sig, grid_m=...)``.  ``initial_lam``
+    is a warm start as in :func:`solve_appopt`: the multipliers of a run on
+    any grid.
     """
     if c_prime_mode not in C_PRIME_MODES:
         raise ValueError(
             f"c_prime_mode must be one of {C_PRIME_MODES}, got {c_prime_mode!r}"
         )
-    check_run(L, n, grid_m)
     appopt, solution = solve_appopt(sig, L, n, initial_lam=initial_lam)
     c = sig.lipschitz_c
     if c_prime_mode == EXACT_POSTSOLVE:
@@ -255,7 +256,7 @@ def approximate(
         c_prime = apriori_derivative_bound(L, sig.sup_norm())
     subopt = lift_to_envelope(appopt, c, c_prime, n)
     bound = gap_bound(appopt, c, c_prime, n)
-    certified, min_margin = certify(subopt, sig, grid_m=grid_m)
+    certified, min_margin = certify(subopt, sig)
     cost_appopt = appopt.energy()
     cost_subopt = subopt.energy()
     return EnvelopeResult(

@@ -286,6 +286,19 @@ class TestSweep:
         assert rows == [{"L": 1, "n": 64, "error": rows[0]["error"]}]
         assert "float range" in rows[0]["error"]
 
+    def test_error_rows_in_csv_table(self, cos_csv, capsys):
+        flags = ["--L", "1", "--n", "32,64", "--lipschitz", "1e160", "--format", "csv"]
+        rc = main(["sweep", cos_csv, *flags])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert rc == 3
+        assert lines[1:] == ["1,32,,,,error,", "1,64,,,,error,"]
+
+    def test_bad_integer_list_is_a_usage_error(self, cos_csv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", cos_csv, "--L", "1,x", "--n", "64"])
+        assert exit_info.value.code == 2
+        assert "bad integer list '1,x'" in capsys.readouterr().err
+
     def test_csv_table_format(self, cos_csv, capsys):
         rc = main(["sweep", cos_csv, "--L", "1", "--n", "8,16", "--format", "csv"])
         lines = capsys.readouterr().out.strip().splitlines()
@@ -308,11 +321,9 @@ class TestSweep:
         [
             ["--L", "65", "--n", "200"],
             ["--L", "1", "--n", "2000000"],
-            ["--L", "1", "--n", "64", "--grid", "8"],
-            ["--L", "1", "--n", "64", "--grid", "1000001"],
             ["--L", "1", "--n", "64", "--lipschitz", "nan"],
         ],
-        ids=["L65", "n2e6", "grid8", "grid1e6+1", "lipschitz_nan"],
+        ids=["L65", "n2e6", "lipschitz_nan"],
     )
     def test_invalid_run_rejected_before_solving(
         self, cos_csv, capsys, monkeypatch, command, flags
@@ -325,6 +336,14 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "envlp: error:" in captured.err
+
+    @pytest.mark.parametrize("command", ["approximate", "sweep"])
+    def test_grid_is_not_a_solve_flag(self, cos_csv, capsys, command):
+        # Only certify takes a certification grid.
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, cos_csv, "--L", "1", "--n", "64", "--grid", "8192"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --grid 8192" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -435,11 +454,37 @@ class TestCertify:
         assert "envlp: error:" in capsys.readouterr().err
         assert peak < 4e6  # one float per grid point would take 8 MB
 
+    def test_grid_floor_checked_before_evaluating(self, cos_csv, tmp_path, capsys, monkeypatch):
+        result = self._result_file(cos_csv, tmp_path)
+        capsys.readouterr()
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("evaluated on an invalid grid")
+
+        monkeypatch.setattr(solver, "_GridProblem", no_grid)
+        assert main(["certify", str(result), cos_csv, "--grid", "8"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("envlp: error: certification grid")
+        assert captured.err.count("\n") == 1
+
+    def test_dc_with_energy_out_of_float_range_rejected(self, cos_csv, tmp_path, capsys):
+        result = self._result_file(cos_csv, tmp_path)
+        payload = json.loads(result.read_text())
+        payload["subopt"]["b0"] = 1e160
+        result.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["certify", str(result), cos_csv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("envlp: error:")
+        assert captured.err.count("\n") == 1
+
 
 _SHARED_FLAGS = {
-    "approximate": ["signal_csv", "--lipschitz", "--cprime-mode", "--grid", "--out"],
+    "approximate": ["signal_csv", "--lipschitz", "--cprime-mode", "--out"],
     "ingest": ["polygon_csv", "--out"],
-    "sweep": ["signal_csv", "--lipschitz", "--cprime-mode", "--grid", "--out"],
+    "sweep": ["signal_csv", "--lipschitz", "--cprime-mode", "--out"],
     "certify": ["result_json", "signal_csv", "--grid", "--out"],
 }
 

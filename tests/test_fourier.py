@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from envlp import (
     FourierEnvelope,
+    PeriodicSignal,
     apriori_derivative_bound,
+    certify,
     grid_values,
     phasor_matrix,
 )
@@ -192,6 +195,10 @@ _BUDGET_CHECKS = {
 }
 
 
+_ONE = FourierEnvelope(L=1, b0=1.0, b_re=[0.0], b_im=[0.0])
+_ONES = PeriodicSignal(np.ones(64))
+
+
 class TestValidation:
     @pytest.mark.parametrize("L, error", [(-1, ValueError), (65, BudgetTooLarge)])
     @pytest.mark.parametrize("name", sorted(_BUDGET_CHECKS))
@@ -210,11 +217,17 @@ class TestValidation:
         ids=repr,
     )
     def test_run_must_be_integral_and_capped(self, run):
-        with pytest.raises(ValueError):
-            check_run(**run)
+        # The certification grid is checked by certify, the rest by check_run.
+        if "grid_m" in run:
+            with pytest.raises(ValueError, match="^certification grid"):
+                certify(_ONE, _ONES, grid_m=run["grid_m"])
+        else:
+            with pytest.raises(ValueError):
+                check_run(**run)
 
     def test_integral_floats_and_numpy_ints_pass(self):
-        check_run(2.0, np.int64(64), np.float64(8192.0))
+        check_run(2.0, np.int64(64))
+        assert certify(_ONE, _ONES, grid_m=np.float64(8192.0)) == (True, 0.0)
 
     def test_budget_cap(self):
         with pytest.raises(BudgetTooLarge):
@@ -227,6 +240,24 @@ class TestValidation:
     def test_non_finite(self):
         with pytest.raises(ValueError):
             FourierEnvelope(L=1, b0=np.nan, b_re=[0.0], b_im=[0.0])
+
+    @pytest.mark.parametrize(
+        "b0, b_re", [(1e160, 0.0), (0.0, 1e160)], ids=["dc", "harmonic"]
+    )
+    def test_energy_out_of_float_range(self, b0, b_re):
+        # Unchecked, energy() raises OverflowError for the first and warns of
+        # an overflow in matmul for the second.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="energy out of the float range"):
+                FourierEnvelope(L=1, b0=b0, b_re=[b_re], b_im=[0.0])
+
+    def test_largest_dc_keeps_its_energy(self):
+        assert FourierEnvelope(L=0, b0=1e154, b_re=[], b_im=[]).energy() == 1e308
+
+    def test_params_length_mismatch(self):
+        with pytest.raises(ValueError, match="^expected 3 parameters, got 2$"):
+            FourierEnvelope.from_params(1, [1.0, 2.0])
 
     def test_params_roundtrip(self):
         rng = np.random.default_rng(31)

@@ -159,6 +159,21 @@ class TestKktResiduals:
         with pytest.raises(DimensionMismatch):
             kkt_residuals(p, s)
 
+    def test_multiplier_count_mismatch(self):
+        p = QpProblem(q_diag=[1.0], a_rows=[[1.0]], g=[3.0])
+        s = QpSolution(
+            x=np.array([3.0]),
+            lam=np.array([6.0, 0.0]),
+            iterations=0,
+            converged=True,
+            primal_violation=0.0,
+            dual_violation=0.0,
+            complementarity=0.0,
+            stationarity=0.0,
+        )
+        with pytest.raises(DimensionMismatch, match="^lambda has length 2, expected 1$"):
+            kkt_residuals(p, s)
+
     def test_dense_multipliers_over_several_row_blocks(self):
         # 10000 rows with every multiplier nonzero span three blocks of A^T lam.
         rng = np.random.default_rng(11)

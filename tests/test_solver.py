@@ -242,12 +242,12 @@ class TestLift:
 
     @pytest.mark.parametrize("func", [lift_to_envelope, gap_bound], ids=lambda f: f.__name__)
     @pytest.mark.parametrize(
-        "b0, c", [(1 / 3, 1e200), (2e154, 0.0), (-1e160, 1.0)],
+        "b0, c", [(1 / 3, 1e200), (1e154, 0.0), (-1e154, 1.0)],
         ids=["huge_c", "huge_dc", "negative_dc"],
     )
     def test_rejects_cost_out_of_float_range(self, func, b0, c):
-        # Unchecked, gap_bound returned inf for the first case, and the lifted
-        # envelope's energy() raised OverflowError for each.
+        # Unchecked, gap_bound returned inf for the first case.  The DC cases
+        # have a finite energy, but their doubled lifted DC squared does not.
         appopt = FourierEnvelope(L=1, b0=b0, b_re=[0.1], b_im=[0.0])
         with pytest.raises(ValueError, match="out of the float range"):
             func(appopt, c, 0.0, 64)
@@ -330,6 +330,11 @@ class TestCertify:
 
 
 class TestApproximate:
+    def test_takes_no_certification_grid(self, constant_two):
+        # certify(result.subopt, sig, grid_m=...) re-checks on another grid.
+        with pytest.raises(TypeError):
+            approximate(constant_two, L=1, n=64, grid_m=8192)
+
     def test_constant_pipeline(self, constant_two):
         res = approximate(constant_two, L=1, n=64)
         assert res.cost_appopt == pytest.approx(4.0, abs=1e-8)
@@ -440,7 +445,7 @@ class TestPipelineProperties:
             assert dips.min() >= floor - 1e-9
 
     def test_certification_sound_on_denser_grid(self, star_signal):
-        res = approximate(star_signal, L=2, n=64, grid_m=8192)
+        res = approximate(star_signal, L=2, n=64)
         assert res.certified
         _, margin4x = certify(res.subopt, star_signal, grid_m=4 * 8192)
         assert margin4x >= -(res.c + res.c_prime) / 8192 - 1e-9
