@@ -1,9 +1,10 @@
 """Command-line front end: approximate, ingest, sweep, certify.
 
 Exit codes: 0 success (certified where applicable), 3 uncertified result or
-failed sweep rows, 1 input/usage errors.  Output is deterministic: floats are
-serialized with 17 significant digits and payloads carry no timestamps, so
-identical inputs give byte-identical output.
+failed sweep rows, 1 input errors, 2 errors argparse reports (an unknown flag,
+or a missing or malformed value).  Output is deterministic: each float is its
+shortest round-trip ``repr``, which parses back bit for bit, and payloads
+carry no timestamps, so identical inputs give byte-identical output.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import solver
 from .contour import _MIN_RAYS, Contour, radial_parametrize, read_polygon_csv
 from .errors import EnvelopeError
 from .fourier import FourierEnvelope, _check_count
-from .signals import PeriodicSignal, format_float, read_signal_csv, write_signal_csv
+from .signals import PeriodicSignal, format_floats, read_signal_csv, write_signal_csv
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -39,33 +40,11 @@ SWEEP_COLUMNS = (
 )
 
 
-def dumps(value, indent: int = 0) -> str:
-    """Deterministic JSON text: dict order preserved, floats via format_float."""
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f'{pad}  {json.dumps(str(k))}: {dumps(v, indent + 1)}'
-            for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple)):
-        if not len(value):
-            return "[]"
-        items = [f"{pad}  {dumps(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    return _scalar(value)
-
-
-def _scalar(value) -> str:
-    if isinstance(value, bool) or value is None:
-        return json.dumps(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(value)
-    return json.dumps(str(value))
+def dumps(value) -> str:
+    """JSON text with two-space indents and dict order kept; each float is
+    its shortest round-trip ``repr`` (as :func:`signals.format_float`), and
+    a NaN or infinity raises ``ValueError``."""
+    return json.dumps(value, indent=2, allow_nan=False)
 
 
 def _int_list(text: str) -> tuple:
@@ -117,7 +96,7 @@ def cmd_ingest(args) -> int:
         write_signal_csv(args.out, sig.samples)
         _emit(dumps(sidecar), os.path.splitext(args.out)[0] + ".json")
     else:
-        print("\n".join(format_float(v) for v in sig.samples))
+        print("\n".join(format_floats(sig.samples)))
         print(dumps(sidecar), file=sys.stderr)
     return EXIT_OK
 
@@ -149,7 +128,7 @@ def _sweep_csv(rows) -> str:
         if "error" in row:
             lines.append(f"{row['L']},{row['n']},,,,error,")
         else:
-            lines.append(",".join(_scalar(row[key]) for key in SWEEP_COLUMNS))
+            lines.append(",".join(json.dumps(row[k], allow_nan=False) for k in SWEEP_COLUMNS))
     return "\n".join(lines)
 
 

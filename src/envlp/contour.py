@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegeneratePolygon, NoIntersection, NonpositiveRadius
 from .fourier import FourierEnvelope, _check_count, _grid_values
-from .signals import PeriodicSignal, data_lines, format_float
+from .signals import PeriodicSignal, data_lines, format_floats
 
 _AREA_EPS = 1e-12
 _RAY_EPS = 1e-12
@@ -157,16 +157,21 @@ class Contour:
         """Same as ``Contour(points)``: about the area-weighted centroid."""
         return cls(points=points)
 
+    def _edges(self):
+        """Per edge ``i``: ``(ex, ey)`` from vertex ``i`` to ``i + 1``, ``(wx, wy)``
+        from the centroid to vertex ``i``, and their cross product ``s_num``."""
+        px, py = self.points[:, 0], self.points[:, 1]
+        ex, ey = np.roll(px, -1) - px, np.roll(py, -1) - py
+        wx, wy = px - self.centroid[0], py - self.centroid[1]
+        return ex, ey, wx, wy, wx * ey - wy * ex
+
     @property
     def star_shaped(self) -> bool:
         """True exactly when the polygon is star-shaped about ``centroid``:
         seen from there, no edge turns against the polygon's orientation.
         It is read off the edges, so it holds for every ray count; a notch or
         overhang that falls between two rays still clears it."""
-        px, py = self.points[:, 0], self.points[:, 1]
-        ex, ey = np.roll(px, -1) - px, np.roll(py, -1) - py
-        wx, wy = px - self.centroid[0], py - self.centroid[1]
-        s_num = wx * ey - wy * ex
+        ex, ey, wx, wy, s_num = self._edges()
         tol = _RAY_EPS * np.hypot(wx, wy) * np.hypot(ex, ey)
         return not np.any(s_num * np.sign(np.sum(s_num)) < -tol)
 
@@ -182,10 +187,7 @@ def radial_parametrize(contour: Contour, M: int = 1024) -> PeriodicSignal:
     chunks, so memory stays bounded for any ``M`` and vertex count.
     """
     M = _check_count(M, _MIN_RAYS, "M")
-    px, py = contour.points[:, 0], contour.points[:, 1]
-    ex, ey = np.roll(px, -1) - px, np.roll(py, -1) - py
-    wx, wy = px - contour.centroid[0], py - contour.centroid[1]
-    s_num = wx * ey - wy * ex
+    ex, ey, wx, wy, s_num = contour._edges()
     e_len, w_len = np.hypot(ex, ey), np.hypot(wx, wy)
     tol = _RAY_EPS * e_len
     s_min = _RAY_EPS * float(np.max(w_len))
@@ -264,6 +266,6 @@ def read_polygon_csv(path) -> np.ndarray:
 
 
 def write_polygon_csv(path, points) -> None:
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    lines = [f"{format_float(x)},{format_float(y)}" for x, y in pts]
+    cells = format_floats(np.asarray(points, dtype=float).reshape(-1, 2))
+    lines = [f"{x},{y}" for x, y in zip(cells[::2], cells[1::2])]
     Path(path).write_text("\n".join(lines) + "\n")

@@ -9,7 +9,6 @@ signal require a user-supplied slope bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,11 +34,18 @@ ESTIMATED = "estimated"
 
 
 def format_float(x: float) -> str:
-    """Fixed 17-significant-digit rendering used in all emitted files."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite value {x!r}")
-    return format(x, ".17g")
+    """``repr(x)``, the shortest text that parses back to the same float bit
+    for bit: the one rendering of floats in every file and JSON payload the
+    package writes.  A NaN or infinity raises ``ValueError``."""
+    return format_floats([float(x)])[0]
+
+
+def format_floats(values) -> list[str]:
+    """:func:`format_float` of each value, finiteness checked once."""
+    values = np.asarray(values, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("cannot serialize a non-finite value")
+    return list(map(repr, values.tolist()))
 
 
 def observed_slope(values: np.ndarray) -> float:
@@ -144,6 +150,5 @@ def read_signal_csv(path) -> np.ndarray:
 
 
 def write_signal_csv(path, values) -> None:
-    """Write one sample per line with round-trip float formatting."""
-    lines = [format_float(v) for v in np.asarray(values, dtype=float)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write one sample per line, each as :func:`format_float` renders it."""
+    Path(path).write_text("\n".join(format_floats(values)) + "\n")

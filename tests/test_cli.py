@@ -9,16 +9,21 @@ import numpy as np
 import pytest
 
 from envlp import (
+    Contour,
     FourierEnvelope,
     PeriodicSignal,
+    cli,
     qp,
+    radial_parametrize,
+    read_polygon_csv,
     read_signal_csv,
     solver,
     write_polygon_csv,
     write_signal_csv,
 )
-from envlp.cli import SWEEP_COLUMNS, dumps, format_float, main
+from envlp.cli import SWEEP_COLUMNS, dumps, main
 from envlp.errors import NotConverged
+from envlp.signals import format_float
 
 from conftest import overhang_disk, star_points
 
@@ -47,17 +52,38 @@ def star_csv(tmp_path):
     return str(path)
 
 
+def _bits(value):
+    """``value`` with each float as its hex text, so equality is bit for bit."""
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    return value.hex() if isinstance(value, float) else value
+
+
 class TestFormatting:
-    def test_float_has_17_significant_digits(self):
-        assert format_float(1 / 3) == "0.33333333333333331"
+    @pytest.mark.parametrize(
+        "x, text",
+        [
+            (1 / 3, "0.3333333333333333"),
+            (2.0, "2.0"),
+            (-0.0, "-0.0"),
+            (5e-324, "5e-324"),
+            (1.7976931348623157e308, "1.7976931348623157e+308"),
+        ],
+        ids=["third", "two", "negative_zero", "subnormal", "largest"],
+    )
+    def test_float_is_shortest_repr(self, x, text):
+        assert format_float(x) == repr(x) == text
+        assert float(text).hex() == x.hex()
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             format_float(float("nan"))
+        with pytest.raises(ValueError):
+            dumps({"a": [1.0, float("nan")]})
 
     def test_dumps_deterministic_structure(self):
-        payload = {"a": 1, "b": [1.5, True, None], "c": {"d": "x"}}
-        assert dumps(payload) == dumps(payload)
+        payload = {"a": 1, "b": [1.5, True, None, []], "c": {"d": "x", "e": {}}}
+        assert dumps(payload) == json.dumps(payload, indent=2)
         assert json.loads(dumps(payload)) == payload
 
 
@@ -135,6 +161,12 @@ class TestIngest:
         sidecar = json.loads((tmp_path / "square_signal.json").read_text())
         assert sidecar["centroid"] == pytest.approx([0.5, 0.5])
         assert sidecar["star_shaped"] is True
+        # The text parses back to the values computed in process, bit for bit.
+        contour = Contour(read_polygon_csv(poly))
+        sig = radial_parametrize(contour, M=256)
+        assert _bits(values) == _bits(sig.samples.tolist())
+        assert _bits(sidecar["centroid"]) == _bits(contour.centroid)
+        assert _bits(sidecar["lipschitz_c"]) == _bits(sig.lipschitz_c)
 
     def test_triangle_has_three_peaks(self, tmp_path):
         poly = tmp_path / "tri.csv"
@@ -204,12 +236,6 @@ def traced_peak(func, *args):
         return func(*args), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value) if isinstance(value, int) else format_float(value)
 
 
 class TestSweep:
@@ -293,11 +319,19 @@ class TestSweep:
         assert rc == 3
         assert lines[1:] == ["1,32,,,,error,", "1,64,,,,error,"]
 
-    def test_bad_integer_list_is_a_usage_error(self, cos_csv, capsys):
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--L", "1,x", "--n", "64"], "bad integer list '1,x'"),
+            (["--L", "1"], "the following arguments are required: --n"),
+        ],
+        ids=["bad_list", "missing_n"],
+    )
+    def test_argparse_error_exits_2(self, cos_csv, capsys, flags, message):
         with pytest.raises(SystemExit) as exit_info:
-            main(["sweep", cos_csv, "--L", "1,x", "--n", "64"])
+            main(["sweep", cos_csv, *flags])
         assert exit_info.value.code == 2
-        assert "bad integer list '1,x'" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_csv_table_format(self, cos_csv, capsys):
         rc = main(["sweep", cos_csv, "--L", "1", "--n", "8,16", "--format", "csv"])
@@ -358,15 +392,22 @@ class TestSweep:
         assert captured.out == ""
         assert captured.err == f"envlp: error: {message}\n"
 
-    def test_csv_cells_render_json_fields(self, star_csv, capsys):
+    def test_csv_cells_render_json_fields(self, star_csv, capsys, monkeypatch):
         flags = [star_csv, "--L", "0,1,2", "--n", "16,32"]
         assert main(["sweep", *flags]) == 0
         rows = json.loads(capsys.readouterr().out)
+        tables = []
+        real = cli._sweep_csv
+        monkeypatch.setattr(cli, "_sweep_csv", lambda rows: tables.append(rows) or real(rows))
         assert main(["sweep", *flags, "--format", "csv"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == len(rows) + 1
-        for row, line in zip(rows, lines[1:]):
-            assert line.split(",") == [_cell(row[key]) for key in SWEEP_COLUMNS]
+        for row, computed, line in zip(rows, tables[0], lines[1:]):
+            cells = line.split(",")
+            assert cells == [json.dumps(row[key]) for key in SWEEP_COLUMNS]
+            # The cells parse back to the values computed in process, bit for bit.
+            parsed = [json.loads(cell) for cell in cells]
+            assert _bits(parsed) == _bits([computed[key] for key in SWEEP_COLUMNS])
 
 
 class TestCertify:
