@@ -42,7 +42,7 @@ SWEEP_COLUMNS = (
 
 def dumps(value) -> str:
     """JSON text with two-space indents and dict order kept; each float is
-    its shortest round-trip ``repr`` (as :func:`signals.format_float`), and
+    its shortest round-trip ``repr`` (as :func:`signals.format_floats`), and
     a NaN or infinity raises ``ValueError``."""
     return json.dumps(value, indent=2, allow_nan=False)
 

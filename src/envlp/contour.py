@@ -5,8 +5,10 @@ from its centroid: angle ``theta`` runs counter-clockwise from the +x axis
 over ``[-pi, pi)`` and maps affinely onto phase ``t = (theta + pi) / (2*pi)``,
 so sample index 0 points along ``-x``.  For star-shaped contours each ray
 meets the boundary once and the parametrization is exact; otherwise the
-largest intersection distance is kept (over-covering, never under-covering)
-and ``Contour.star_shaped`` is False.
+largest intersection distance is kept and ``Contour.star_shaped`` is False.
+Only the ray samples are covered: an envelope lies above the linear
+interpolant of the ``M`` samples, and polygon vertices between two rays may
+stick out of it until majorant sampling (ROADMAP item 1) covers them.
 """
 
 from __future__ import annotations

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A count out of range or not an integer (a harmonic budget, constraint count,
+grid, ray or sample count) has no class here: it raises a plain
+``ValueError`` of the form ``<name> must be an integer from <low> to <high>,
+got <value>``.
+"""
 
 
 class EnvelopeError(Exception):
@@ -16,14 +22,6 @@ class NonFiniteSample(EnvelopeError, ValueError):
 
 class LipschitzTooSmall(EnvelopeError, ValueError):
     """A user-supplied slope bound is below the slope observed in the samples."""
-
-
-class BudgetTooLarge(EnvelopeError, ValueError):
-    """Harmonic budget above the supported maximum (64)."""
-
-
-class TooFewConstraints(EnvelopeError, ValueError):
-    """Constraint count must be at least the number of free parameters (2L+1)."""
 
 
 class DimensionMismatch(EnvelopeError, ValueError):

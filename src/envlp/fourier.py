@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetTooLarge, TooFewConstraints
-
 TWO_PI = 2.0 * np.pi
 
 # The active-set pass keeps a dense inverse of order up to 2L+1, and each
@@ -39,35 +37,22 @@ def _integral(value) -> bool:
     return isinstance(value, (float, np.floating)) and float(value).is_integer()
 
 
-def _check_count(value, low: int, what: str) -> int:
+def _check_count(value, low: int, what: str, high: int = MAX_CONSTRAINTS) -> int:
     """``value`` as an int after checking it is integral (see :func:`_integral`)
-    and in ``[low, MAX_CONSTRAINTS]``: the one range check for every count of
-    constraints, grid points or samples."""
-    if not _integral(value) or not low <= value <= MAX_CONSTRAINTS:
-        raise ValueError(
-            f"{what} must be an integer from {low} to {MAX_CONSTRAINTS}, got {value!r}"
-        )
+    and in ``[low, high]``: the one range check for every count, be it a
+    harmonic budget, constraints, grid points, rays or samples."""
+    if not _integral(value) or not low <= value <= high:
+        raise ValueError(f"{what} must be an integer from {low} to {high}, got {value!r}")
     return int(value)
 
 
 def check_run(L: int, n: int | None = None) -> None:
-    """Validate a run: its harmonic budget and constraint count.
-
-    Each must be an integer: an integral float passes, a bool or a
-    non-integral or non-finite value does not.  ``L`` must lie in
-    ``[0, MAX_HARMONICS]``; ``n`` (when given) in ``[2L+1, MAX_CONSTRAINTS]``,
-    because with fewer than ``2L+1`` rows the polynomial between grid points
-    is uncontrolled.
-    """
-    if not _integral(L):
-        raise ValueError(f"harmonic budget must be an integer, got {L!r}")
-    if L < 0:
-        raise ValueError(f"harmonic budget must be nonnegative, got {L}")
-    if L > MAX_HARMONICS:
-        raise BudgetTooLarge(f"harmonic budget {L} exceeds maximum {MAX_HARMONICS}")
+    """Validate a run with :func:`_check_count`: the harmonic budget ``L`` in
+    ``[0, MAX_HARMONICS]`` and, when given, the constraint count ``n`` in
+    ``[2L+1, MAX_CONSTRAINTS]``, because with fewer than ``2L+1`` rows the
+    polynomial between grid points is uncontrolled."""
+    L = _check_count(L, 0, "harmonic budget", MAX_HARMONICS)
     if n is not None:
-        if _integral(n) and n < 2 * L + 1:
-            raise TooFewConstraints(f"need n >= 2L+1 = {2 * L + 1}, got n={n}")
         _check_count(n, 2 * L + 1, "n")
 
 

@@ -33,15 +33,10 @@ USER_SUPPLIED = "user_supplied"
 ESTIMATED = "estimated"
 
 
-def format_float(x: float) -> str:
-    """``repr(x)``, the shortest text that parses back to the same float bit
-    for bit: the one rendering of floats in every file and JSON payload the
-    package writes.  A NaN or infinity raises ``ValueError``."""
-    return format_floats([float(x)])[0]
-
-
 def format_floats(values) -> list[str]:
-    """:func:`format_float` of each value, finiteness checked once."""
+    """``repr`` of each value, the shortest text that parses back to the same
+    float bit for bit: the one rendering of floats in every file and JSON
+    payload the package writes.  A NaN or infinity raises ``ValueError``."""
     values = np.asarray(values, dtype=float).reshape(-1)
     if not np.all(np.isfinite(values)):
         raise ValueError("cannot serialize a non-finite value")
@@ -150,5 +145,5 @@ def read_signal_csv(path) -> np.ndarray:
 
 
 def write_signal_csv(path, values) -> None:
-    """Write one sample per line, each as :func:`format_float` renders it."""
+    """Write one sample per line, each as :func:`format_floats` renders it."""
     Path(path).write_text("\n".join(format_floats(values)) + "\n")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,12 @@ from envlp import Contour, PeriodicSignal, radial_parametrize
 STAR_TIPS = (0.0, 3 / 16, 3 / 8, 5 / 8, 13 / 16)
 STAR_OUTER = 1.0
 STAR_INNER = 0.6
+
+
+def count_error(what, low, high, value):
+    """A ``pytest.raises`` pattern for the whole message of an out-of-range
+    count."""
+    return f"^{re.escape(f'{what} must be an integer from {low} to {high}, got {value!r}')}$"
 
 
 def star_points(tips=STAR_TIPS, r_outer=STAR_OUTER, r_inner=STAR_INNER):

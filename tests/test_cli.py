@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -23,9 +24,9 @@ from envlp import (
 )
 from envlp.cli import SWEEP_COLUMNS, dumps, main
 from envlp.errors import NotConverged
-from envlp.signals import format_float
+from envlp.signals import format_floats
 
-from conftest import overhang_disk, star_points
+from conftest import count_error, overhang_disk, star_points
 
 
 @pytest.fixture()
@@ -72,12 +73,13 @@ class TestFormatting:
         ids=["third", "two", "negative_zero", "subnormal", "largest"],
     )
     def test_float_is_shortest_repr(self, x, text):
-        assert format_float(x) == repr(x) == text
+        assert format_floats([x]) == format_floats(np.array([x])) == [repr(x)] == [text]
         assert float(text).hex() == x.hex()
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            format_float(float("nan"))
+        for values in ([float("nan")], [1.0, float("inf")], np.array([-np.inf])):
+            with pytest.raises(ValueError):
+                format_floats(values)
         with pytest.raises(ValueError):
             dumps({"a": [1.0, float("nan")]})
 
@@ -351,16 +353,17 @@ class TestSweep:
 
     @pytest.mark.parametrize("command", ["approximate", "sweep"])
     @pytest.mark.parametrize(
-        "flags",
+        "flags, message",
         [
-            ["--L", "65", "--n", "200"],
-            ["--L", "1", "--n", "2000000"],
-            ["--L", "1", "--n", "64", "--lipschitz", "nan"],
+            (["--L", "65", "--n", "200"], count_error("harmonic budget", 0, 64, 65)),
+            (["--L", "1", "--n", "2"], count_error("n", 3, 10 ** 6, 2)),
+            (["--L", "1", "--n", "2000000"], count_error("n", 3, 10 ** 6, 2000000)),
+            (["--L", "1", "--n", "64", "--lipschitz", "nan"], "^slope bound"),
         ],
-        ids=["L65", "n2e6", "lipschitz_nan"],
+        ids=["L65", "n2", "n2e6", "lipschitz_nan"],
     )
     def test_invalid_run_rejected_before_solving(
-        self, cos_csv, capsys, monkeypatch, command, flags
+        self, cos_csv, capsys, monkeypatch, command, flags, message
     ):
         def no_solve(*args, **kwargs):
             raise AssertionError("solved an invalid run")
@@ -369,7 +372,9 @@ class TestSweep:
         assert main([command, cos_csv] + flags) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "envlp: error:" in captured.err
+        prefix = "envlp: error: "
+        assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+        assert re.search(message, captured.err[len(prefix):-1])
 
     @pytest.mark.parametrize("command", ["approximate", "sweep"])
     def test_grid_is_not_a_solve_flag(self, cos_csv, capsys, command):
@@ -474,10 +479,11 @@ class TestCertify:
             '{"L": 1.7, "b0": 2.0, "b_re": [0.0], "b_im": [0.0]}',
             '{"L": 1e400, "b0": 2.0, "b_re": [0.0], "b_im": [0.0]}',
             '{"L": true, "b0": 2.0, "b_re": [0.0], "b_im": [0.0]}',
+            '{"L": 65, "b0": 2.0, "b_re": [0.0], "b_im": [0.0]}',
             '{"L": 1, "b0": 2.0, "b_re": 0.5, "b_im": [[0.0]]}',
             '{"L": 1, "b0": 2.0, "b_re": [[0.5]], "b_im": [0.0]}',
         ],
-        ids=["L_fraction", "L_overflow", "L_bool", "coeff_scalar", "coeff_nested"],
+        ids=["L_fraction", "L_overflow", "L_bool", "L_65", "coeff_scalar", "coeff_nested"],
     )
     def test_malformed_envelope_rejected(self, cos_csv, tmp_path, capsys, subopt):
         result = tmp_path / "result.json"

@@ -8,12 +8,14 @@ from envlp import (
     FourierEnvelope,
     PeriodicSignal,
     apriori_derivative_bound,
+    build_constraints,
     certify,
     grid_values,
     phasor_matrix,
 )
-from envlp.errors import BudgetTooLarge
 from envlp.fourier import check_run
+
+from conftest import count_error
 
 
 def random_envelope(rng, max_L=8):
@@ -187,10 +189,11 @@ class TestAprioriBound:
 
 _BUDGET_CHECKS = {
     "FourierEnvelope": lambda L: FourierEnvelope(
-        L=L, b0=0.0, b_re=np.zeros(max(L, 0)), b_im=np.zeros(max(L, 0))
+        L=L, b0=0.0, b_re=np.zeros(max(int(L), 0)), b_im=np.zeros(max(int(L), 0))
     ),
     "phasor_matrix": lambda L: phasor_matrix(L, [0.0, 0.5]),
     "apriori_derivative_bound": lambda L: apriori_derivative_bound(L, 1.0),
+    "build_constraints": lambda L: build_constraints(_ONES, L, 200),
     "check_run": check_run,
 }
 
@@ -200,17 +203,20 @@ _ONES = PeriodicSignal(np.ones(64))
 
 
 class TestValidation:
-    @pytest.mark.parametrize("L, error", [(-1, ValueError), (65, BudgetTooLarge)])
+    # Every entry point raises the same plain ValueError for a bad budget.
+    @pytest.mark.parametrize("L", [-1, 65, 1.5, True], ids=lambda L: f"{L!r}-ValueError")
     @pytest.mark.parametrize("name", sorted(_BUDGET_CHECKS))
-    def test_budget_range(self, name, L, error):
-        with pytest.raises(error):
+    def test_budget_range(self, name, L):
+        with pytest.raises(ValueError, match=count_error("harmonic budget", 0, 64, L)) as info:
             _BUDGET_CHECKS[name](L)
+        assert type(info.value) is ValueError
 
     @pytest.mark.parametrize(
         "run",
         [
-            {"L": 1.7}, {"L": np.inf}, {"L": True}, {"L": "1"},
+            {"L": 1.7}, {"L": np.inf}, {"L": True}, {"L": "1"}, {"L": -1}, {"L": 65},
             {"L": 1, "n": 64.5}, {"L": 1, "n": np.nan}, {"L": 1, "n": np.True_},
+            {"L": 1, "n": 2}, {"L": 1, "n": 10 ** 6 + 1},
             {"L": 1, "grid_m": 8192.5}, {"L": 1, "grid_m": -np.inf},
             {"L": 1, "grid_m": 10 ** 6 + 1},
         ],
@@ -221,16 +227,21 @@ class TestValidation:
         if "grid_m" in run:
             with pytest.raises(ValueError, match="^certification grid"):
                 certify(_ONE, _ONES, grid_m=run["grid_m"])
+            return
+        if "n" in run:
+            message = count_error("n", 3, 10 ** 6, run["n"])
         else:
-            with pytest.raises(ValueError):
-                check_run(**run)
+            message = count_error("harmonic budget", 0, 64, run["L"])
+        with pytest.raises(ValueError, match=message) as info:
+            check_run(**run)
+        assert type(info.value) is ValueError
 
     def test_integral_floats_and_numpy_ints_pass(self):
         check_run(2.0, np.int64(64))
         assert certify(_ONE, _ONES, grid_m=np.float64(8192.0)) == (True, 0.0)
 
     def test_budget_cap(self):
-        with pytest.raises(BudgetTooLarge):
+        with pytest.raises(ValueError, match=count_error("harmonic budget", 0, 64, 65)):
             FourierEnvelope(L=65, b0=0.0, b_re=np.zeros(65), b_im=np.zeros(65))
 
     def test_length_mismatch(self):
