@@ -1,7 +1,8 @@
 """Command-line front end: approximate, ingest, sweep, certify.
 
 Exit codes: 0 success (certified where applicable), 3 uncertified result or
-failed sweep rows, 1 input errors, 2 errors argparse reports (an unknown flag,
+failed sweep rows, 1 input errors (``ValueError``, ``OSError``) or a QP that
+does not solve (``NotConverged``), 2 errors argparse reports (an unknown flag,
 or a missing or malformed value).  Output is deterministic: each float is its
 shortest round-trip ``repr``, which parses back bit for bit, and payloads
 carry no timestamps, so identical inputs give byte-identical output.
@@ -15,11 +16,9 @@ import os
 import sys
 from itertools import product
 
-import numpy as np
-
 from . import solver
 from .contour import _MIN_RAYS, Contour, radial_parametrize, read_polygon_csv
-from .errors import EnvelopeError
+from .errors import NotConverged
 from .fourier import FourierEnvelope, _check_count
 from .signals import PeriodicSignal, format_floats, read_signal_csv, write_signal_csv
 
@@ -68,6 +67,7 @@ def _load_signal(path, lipschitz) -> PeriodicSignal:
 
 
 def cmd_approximate(args) -> int:
+    solver.check_run(args.L, args.n)
     sig = _load_signal(args.signal_csv, args.lipschitz)
     result = solver.approximate(
         sig,
@@ -104,21 +104,22 @@ def cmd_ingest(args) -> int:
 def _sweep_rows(sig: PeriodicSignal, args):
     """One result dict per (L, n) pair, L-major; failures become error rows."""
     rows = []
-    warm: dict[int, np.ndarray] = {}
-    for L, n in product(args.L, args.n):
-        try:
-            result = solver.approximate(
-                sig,
-                L=L,
-                n=n,
-                c_prime_mode=_CPRIME_FLAGS[args.cprime_mode],
-                initial_lam=warm.get(L),
-            )
-        except (EnvelopeError, ValueError) as exc:
-            rows.append({"L": L, "n": n, "error": str(exc)})
-            continue
-        warm[L] = result.solver_diag.lam
-        rows.append(result.to_dict())
+    for L in args.L:
+        lam = None  # the multipliers of this L's last solved n
+        for n in args.n:
+            try:
+                result = solver.approximate(
+                    sig,
+                    L=L,
+                    n=n,
+                    c_prime_mode=_CPRIME_FLAGS[args.cprime_mode],
+                    initial_lam=lam,
+                )
+            except (NotConverged, ValueError) as exc:
+                rows.append({"L": L, "n": n, "error": str(exc)})
+                continue
+            lam = result.solver_diag.lam
+            rows.append(result.to_dict())
     return rows
 
 
@@ -149,6 +150,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    _check_count(args.grid, 16, "certification grid")
     with open(args.result_json) as handle:
         try:
             payload = json.load(handle)
@@ -223,7 +225,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except (EnvelopeError, OSError, ValueError) as exc:
+    except (NotConverged, OSError, ValueError) as exc:
         print(f"envlp: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegeneratePolygon, NoIntersection, NonpositiveRadius
 from .fourier import FourierEnvelope, _check_count, _grid_values
 from .signals import PeriodicSignal, data_lines, format_floats
 
@@ -39,9 +38,9 @@ def centroid(points) -> tuple[float, float]:
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if not np.all(np.isfinite(pts)):
-        raise DegeneratePolygon("polygon vertices must be finite")
+        raise ValueError("polygon vertices must be finite")
     if pts.shape[0] < 3:
-        raise DegeneratePolygon(f"polygon needs >= 3 vertices, got {pts.shape[0]}")
+        raise ValueError(f"polygon needs >= 3 vertices, got {pts.shape[0]}")
     rel = pts - pts[0]
     # 2**(e - 1) rather than 2**e, which is inf for extents near 1e308.
     scale = np.ldexp(1.0, np.frexp(np.max(np.abs(rel)))[1] - 1)
@@ -51,7 +50,7 @@ def centroid(points) -> tuple[float, float]:
     cross = x * yn - xn * y
     area = 0.5 * float(np.sum(cross))
     if abs(area) <= _AREA_EPS * float(np.max(np.abs(rel))) ** 2:
-        raise DegeneratePolygon("polygon area is numerically zero")
+        raise ValueError("polygon area is numerically zero")
     cx = float(pts[0, 0] + scale * (np.sum((x + xn) * cross) / (6.0 * area)))
     cy = float(pts[0, 1] + scale * (np.sum((y + yn) * cross) / (6.0 * area)))
     return cx, cy
@@ -129,7 +128,7 @@ def _check_simple(pts: np.ndarray) -> None:
             first = min(first, int(np.min(np.minimum(a, b) * m + np.maximum(a, b))))
     if first < m * m:
         i, j = divmod(first, m)
-        raise DegeneratePolygon(f"polygon edges {i} and {j} cross each other")
+        raise ValueError(f"polygon edges {i} and {j} cross each other")
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,7 +222,7 @@ def radial_parametrize(contour: Contour, M: int = 1024) -> PeriodicSignal:
         np.maximum.at(far, j[hit], s[hit])
     missed = np.flatnonzero(far == -np.inf)
     if missed.size:
-        raise NoIntersection(
+        raise ValueError(
             f"ray at angle {theta[missed[0]]:.6f} missed the boundary; "
             "is the centroid inside the polygon?"
         )
@@ -248,7 +247,7 @@ def reconstruct_region(
     t = np.arange(M) / M
     radii = _grid_values(env.params(), M)
     if np.any(radii <= 0.0):
-        raise NonpositiveRadius(
+        raise ValueError(
             f"envelope reaches {float(np.min(radii)):.6g} <= 0; "
             "radial reconstruction is undefined"
         )

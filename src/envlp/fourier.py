@@ -40,9 +40,11 @@ def _integral(value) -> bool:
 def _check_count(value, low: int, what: str, high: int = MAX_CONSTRAINTS) -> int:
     """``value`` as an int after checking it is integral (see :func:`_integral`)
     and in ``[low, high]``: the one range check for every count, be it a
-    harmonic budget, constraints, grid points, rays or samples."""
+    harmonic budget, constraints, grid points, rays or samples.  The message
+    shows a numpy scalar as its Python value."""
     if not _integral(value) or not low <= value <= high:
-        raise ValueError(f"{what} must be an integer from {low} to {high}, got {value!r}")
+        shown = value.item() if isinstance(value, np.generic) else value
+        raise ValueError(f"{what} must be an integer from {low} to {high}, got {shown!r}")
     return int(value)
 
 

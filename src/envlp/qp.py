@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotConverged
+from .errors import NotConverged
 
 # Contract tolerances for feasibility and stationarity, relative to ``max|g|``.
 TOL_FEAS = 1e-9
@@ -72,13 +72,11 @@ class QpProblem:
         if np.any(q <= 0):
             raise ValueError("all q_diag entries must be positive")
         if a.ndim != 2 or a.shape[1] != q.shape[0]:
-            raise DimensionMismatch(
+            raise ValueError(
                 f"a_rows has shape {a.shape} but q_diag has length {q.shape[0]}"
             )
         if g.shape[0] != a.shape[0]:
-            raise DimensionMismatch(
-                f"{a.shape[0]} rows but {g.shape[0]} right-hand sides"
-            )
+            raise ValueError(f"{a.shape[0]} rows but {g.shape[0]} right-hand sides")
         for name, arr in (("q_diag", q), ("a_rows", a), ("g", g)):
             # min and max propagate NaN and see +-inf with no n-by-d temporary.
             ends = [np.min(arr, initial=0.0), np.max(arr, initial=0.0)]
@@ -159,11 +157,9 @@ def kkt_residuals(problem, solution: QpSolution):
     x = np.asarray(solution.x, dtype=float).reshape(-1)
     lam = np.asarray(solution.lam, dtype=float).reshape(-1)
     if x.shape[0] != problem.d:
-        raise DimensionMismatch(f"x has length {x.shape[0]}, expected {problem.d}")
+        raise ValueError(f"x has length {x.shape[0]}, expected {problem.d}")
     if lam.shape[0] != problem.n:
-        raise DimensionMismatch(
-            f"lambda has length {lam.shape[0]}, expected {problem.n}"
-        )
+        raise ValueError(f"lambda has length {lam.shape[0]}, expected {problem.n}")
     return _residuals(problem, x, lam)[:4]
 
 
@@ -308,7 +304,7 @@ def solve(problem, initial_lam: np.ndarray | None = None) -> QpSolution:
     if initial_lam is not None:
         warm = np.asarray(initial_lam, dtype=float).reshape(-1)
         if warm.shape[0] != problem.n:
-            raise DimensionMismatch(
+            raise ValueError(
                 f"initial_lam has length {warm.shape[0]}, expected {problem.n}"
             )
         support = np.flatnonzero(warm > 0.0)

@@ -14,8 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import LipschitzTooSmall, NonFiniteSample, TooFewSamples
-
 MIN_SAMPLES = 4
 # Costs square the samples; above this they would leave the float range.
 MAX_MAGNITUDE = 1e150
@@ -72,11 +70,11 @@ class PeriodicSignal:
     def __post_init__(self):
         samples = np.array(self.samples, dtype=float).reshape(-1)
         if samples.shape[0] < MIN_SAMPLES:
-            raise TooFewSamples(
+            raise ValueError(
                 f"need at least {MIN_SAMPLES} samples, got {samples.shape[0]}"
             )
         if not np.all(np.abs(samples) <= MAX_MAGNITUDE):
-            raise NonFiniteSample(
+            raise ValueError(
                 f"signal samples must be finite and at most {MAX_MAGNITUDE:g} in magnitude"
             )
         observed = observed_slope(samples)
@@ -85,9 +83,9 @@ class PeriodicSignal:
         else:
             c, provenance = float(self.lipschitz_c), USER_SUPPLIED
         if not 0 <= c < np.inf:
-            raise LipschitzTooSmall(f"slope bound must be finite and nonnegative, got {c}")
+            raise ValueError(f"slope bound must be finite and nonnegative, got {c}")
         if c < observed * (1.0 - _SLOPE_SLACK):
-            raise LipschitzTooSmall(
+            raise ValueError(
                 f"slope bound {c} is below the observed discrete slope {observed}"
             )
         samples.setflags(write=False)

@@ -209,7 +209,7 @@ def certify(
     Returns ``(certified, min_margin)`` where ``min_margin`` is the smallest
     value of envelope minus signal over ``grid_m`` uniform phases; the check
     passes when ``min_margin >= -CERTIFY_TOL * sig.sup_norm()``.  ``grid_m``
-    (an integer from 16 to ``MAX_CONSTRAINTS``) is set and checked here
+    (an integer from 16 to ``MAX_CONSTRAINTS``) is a parameter here
     only; :func:`approximate` uses the default.  A grid at least four times
     denser than ``max(L, 1) * n`` is recommended so dips between constraint
     phases are visible; when ``grid_m`` divides ``n`` (the default 8192 and

@@ -14,7 +14,9 @@ STAR_INNER = 0.6
 
 def count_error(what, low, high, value):
     """A ``pytest.raises`` pattern for the whole message of an out-of-range
-    count."""
+    count, which shows a numpy scalar as its Python value."""
+    if isinstance(value, np.generic):
+        value = value.item()
     return f"^{re.escape(f'{what} must be an integer from {low} to {high}, got {value!r}')}$"
 
 

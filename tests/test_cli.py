@@ -285,6 +285,15 @@ class TestSweep:
             for key in ("cost_appopt", "cost_subopt", "gap_bound"):
                 assert row[key] == pytest.approx(getattr(ref, key), rel=1e-9)
 
+    def test_keeps_one_multiplier_vector(self, cos_csv, capsys):
+        # Only the current L's multipliers warm-start the next n, so a sweep
+        # over eight budgets holds no more than one over the largest alone.
+        flags = ["--n", "20000,40000"]
+        _, single = traced_peak(main, ["sweep", cos_csv, "--L", "8", *flags])
+        _, many = traced_peak(main, ["sweep", cos_csv, "--L", "1,2,3,4,5,6,7,8", *flags])
+        capsys.readouterr()
+        assert many < single + 8 * 40000  # one more length-n float vector at most
+
     def test_empty_n_list(self, cos_csv, capsys):
         assert main(["sweep", cos_csv, "--L", "1", "--n", ""]) == 1
 
@@ -353,23 +362,26 @@ class TestSweep:
 
     @pytest.mark.parametrize("command", ["approximate", "sweep"])
     @pytest.mark.parametrize(
-        "flags, message",
+        "signal, flags, message",
         [
-            (["--L", "65", "--n", "200"], count_error("harmonic budget", 0, 64, 65)),
-            (["--L", "1", "--n", "2"], count_error("n", 3, 10 ** 6, 2)),
-            (["--L", "1", "--n", "2000000"], count_error("n", 3, 10 ** 6, 2000000)),
-            (["--L", "1", "--n", "64", "--lipschitz", "nan"], "^slope bound"),
+            ("cos", ["--L", "65", "--n", "200"], count_error("harmonic budget", 0, 64, 65)),
+            ("cos", ["--L", "1", "--n", "2"], count_error("n", 3, 10 ** 6, 2)),
+            ("cos", ["--L", "1", "--n", "2000000"], count_error("n", 3, 10 ** 6, 2000000)),
+            ("cos", ["--L", "1", "--n", "64", "--lipschitz", "nan"], "^slope bound"),
+            # The run is checked before the signal file is opened.
+            ("missing", ["--L", "65", "--n", "200"], count_error("harmonic budget", 0, 64, 65)),
         ],
-        ids=["L65", "n2", "n2e6", "lipschitz_nan"],
+        ids=["L65", "n2", "n2e6", "lipschitz_nan", "L65_missing_csv"],
     )
     def test_invalid_run_rejected_before_solving(
-        self, cos_csv, capsys, monkeypatch, command, flags, message
+        self, cos_csv, tmp_path, capsys, monkeypatch, command, signal, flags, message
     ):
         def no_solve(*args, **kwargs):
             raise AssertionError("solved an invalid run")
 
         monkeypatch.setattr(qp, "solve", no_solve)
-        assert main([command, cos_csv] + flags) == 1
+        path = cos_csv if signal == "cos" else str(tmp_path / "missing.csv")
+        assert main([command, path] + flags) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         prefix = "envlp: error: "
@@ -514,6 +526,15 @@ class TestCertify:
         assert captured.out == ""
         assert captured.err.startswith("envlp: error: certification grid")
         assert captured.err.count("\n") == 1
+
+    def test_grid_checked_before_reading_files(self, tmp_path, capsys):
+        missing = [str(tmp_path / "missing.json"), str(tmp_path / "missing.csv")]
+        assert main(["certify", *missing, "--grid", "8"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "envlp: error: certification grid must be an integer from 16 to 1000000, got 8\n"
+        )
 
     def test_dc_with_energy_out_of_float_range_rejected(self, cos_csv, tmp_path, capsys):
         result = self._result_file(cos_csv, tmp_path)

@@ -217,6 +217,7 @@ class TestValidation:
             {"L": 1.7}, {"L": np.inf}, {"L": True}, {"L": "1"}, {"L": -1}, {"L": 65},
             {"L": 1, "n": 64.5}, {"L": 1, "n": np.nan}, {"L": 1, "n": np.True_},
             {"L": 1, "n": 2}, {"L": 1, "n": 10 ** 6 + 1},
+            {"L": np.int64(65)}, {"L": 1, "n": np.float64(1.5)},
             {"L": 1, "grid_m": 8192.5}, {"L": 1, "grid_m": -np.inf},
             {"L": 1, "grid_m": 10 ** 6 + 1},
         ],

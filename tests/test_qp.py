@@ -14,7 +14,7 @@ from envlp import (
     solve,
 )
 from envlp import qp
-from envlp.errors import DimensionMismatch, NotConverged
+from envlp.errors import NotConverged
 from envlp.qp import TOL_FEAS, TOL_STAT
 
 
@@ -156,7 +156,7 @@ class TestKktResiduals:
             complementarity=0.0,
             stationarity=0.0,
         )
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError):
             kkt_residuals(p, s)
 
     def test_multiplier_count_mismatch(self):
@@ -171,7 +171,7 @@ class TestKktResiduals:
             complementarity=0.0,
             stationarity=0.0,
         )
-        with pytest.raises(DimensionMismatch, match="^lambda has length 2, expected 1$"):
+        with pytest.raises(ValueError, match="^lambda has length 2, expected 1$"):
             kkt_residuals(p, s)
 
     def test_dense_multipliers_over_several_row_blocks(self):
@@ -486,7 +486,7 @@ class TestFailureModes:
 
     def test_initial_lam_length_checked(self):
         p = QpProblem(q_diag=[1.0], a_rows=[[1.0]], g=[0.0])
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError):
             solve(p, initial_lam=np.zeros(3))
 
     def test_rows_copied_only_when_writeable(self):
@@ -499,13 +499,13 @@ class TestFailureModes:
         assert problem.a_rows is rows
 
     def test_problem_shape_validation(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError):
             QpProblem(q_diag=[1.0, 2.0], a_rows=[[1.0]], g=[0.0])
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError):
             QpProblem(q_diag=[1.0], a_rows=[[1.0]], g=[0.0, 1.0])
         # Rows are never reshaped: only a 2-D array, or an empty one, is taken.
         for rows, g in ((np.ones((2, 1, 2)), [0.0, 0.0]), (np.ones(2), [0.0]), (np.ones(3), [0.0])):
-            with pytest.raises(DimensionMismatch):
+            with pytest.raises(ValueError):
                 QpProblem(q_diag=[1.0, 2.0], a_rows=rows, g=g)
         assert QpProblem(q_diag=[1.0, 2.0], a_rows=[], g=[]).a_rows.shape == (0, 2)
         with pytest.raises(ValueError):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from envlp import PeriodicSignal, read_signal_csv, write_signal_csv
-from envlp.errors import LipschitzTooSmall, NonFiniteSample, TooFewSamples
 from envlp.signals import observed_slope
 
 from conftest import smooth_signal
@@ -20,21 +19,21 @@ class TestFromSamples:
         assert 2 * np.pi <= sig.lipschitz_c <= 1.5 * 2 * np.pi * 1.01
 
     def test_too_few_samples(self):
-        with pytest.raises(TooFewSamples):
+        with pytest.raises(ValueError):
             PeriodicSignal.from_samples([0.0, 1.0])
-        with pytest.raises(TooFewSamples, match="at least 4 samples, got 2"):
+        with pytest.raises(ValueError, match="at least 4 samples, got 2"):
             PeriodicSignal(samples=[0.0, 1.0], lipschitz_c=4.0)
 
     def test_non_finite(self):
-        with pytest.raises(NonFiniteSample):
+        with pytest.raises(ValueError):
             PeriodicSignal.from_samples([0.0, np.inf, 0.0, 0.0])
-        with pytest.raises(NonFiniteSample):
+        with pytest.raises(ValueError):
             PeriodicSignal.from_samples([np.inf, np.inf, 0.0, 0.0])
         samples = [np.nan] + [1.0] * 7
-        with pytest.raises(NonFiniteSample):
+        with pytest.raises(ValueError):
             PeriodicSignal(samples=samples, lipschitz_c=1.0)
         # Costs square the samples, so magnitudes above 1e150 are out of range too.
-        with pytest.raises(NonFiniteSample, match="at most 1e\\+150 in magnitude"):
+        with pytest.raises(ValueError, match="at most 1e\\+150 in magnitude"):
             PeriodicSignal.from_samples([0.0, 1e155, 0.0, -1e155])
 
     def test_constructor_derives_provenance(self):
@@ -50,17 +49,17 @@ class TestFromSamples:
 
     def test_user_slope_below_observed_rejected(self):
         values = [0.0, 1.0, 0.0, -1.0]
-        with pytest.raises(LipschitzTooSmall):
+        with pytest.raises(ValueError):
             PeriodicSignal.from_samples(values, lipschitz_c=1.0)
-        with pytest.raises(LipschitzTooSmall, match="below the observed"):
+        with pytest.raises(ValueError, match="below the observed"):
             PeriodicSignal(samples=values, lipschitz_c=1.0)
 
     @pytest.mark.parametrize("c", [np.nan, np.inf])
     def test_non_finite_user_slope_rejected(self, c):
         values = [0.0, 1.0, 0.0, -1.0]
-        with pytest.raises(LipschitzTooSmall):
+        with pytest.raises(ValueError):
             PeriodicSignal.from_samples(values, lipschitz_c=c)
-        with pytest.raises(LipschitzTooSmall, match="finite and nonnegative"):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
             PeriodicSignal(samples=values, lipschitz_c=c)
 
     @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e8])
@@ -70,7 +69,7 @@ class TestFromSamples:
         values = (1.5 + np.cos(2 * np.pi * t)) * scale
         c = ratio * observed_slope(values)
         if ratio < 1 - 1e-9:
-            with pytest.raises(LipschitzTooSmall):
+            with pytest.raises(ValueError):
                 PeriodicSignal.from_samples(values, lipschitz_c=c)
         else:
             assert PeriodicSignal.from_samples(values, lipschitz_c=c).lipschitz_c == c
