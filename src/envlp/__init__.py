@@ -13,7 +13,6 @@ from .contour import (
     radial_parametrize,
     read_polygon_csv,
     reconstruct_region,
-    write_polygon_csv,
 )
 from .fourier import (
     FourierEnvelope,
@@ -59,6 +58,5 @@ __all__ = [
     "reconstruct_region",
     "solve",
     "solve_appopt",
-    "write_polygon_csv",
     "write_signal_csv",
 ]

@@ -20,7 +20,7 @@ from . import solver
 from .contour import _MIN_RAYS, Contour, radial_parametrize, read_polygon_csv
 from .errors import NotConverged
 from .fourier import FourierEnvelope, _check_count
-from .signals import PeriodicSignal, format_floats, read_signal_csv, write_signal_csv
+from .signals import PeriodicSignal, read_signal_csv, write_signal_csv
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -81,7 +81,7 @@ def cmd_approximate(args) -> int:
 
 def cmd_ingest(args) -> int:
     # The sidecar goes to the --out path with a .json extension.
-    if args.out and os.path.splitext(args.out)[1].lower() == ".json":
+    if os.path.splitext(args.out)[1].lower() == ".json":
         raise ValueError(f"--out {args.out!r} is the path of its own .json sidecar")
     _check_count(args.samples, _MIN_RAYS, "--samples")
     contour = Contour.from_points(read_polygon_csv(args.polygon_csv))
@@ -92,12 +92,8 @@ def cmd_ingest(args) -> int:
         "samples": sig.m,
         "lipschitz_c": sig.lipschitz_c,
     }
-    if args.out:
-        write_signal_csv(args.out, sig.samples)
-        _emit(dumps(sidecar), os.path.splitext(args.out)[0] + ".json")
-    else:
-        print("\n".join(format_floats(sig.samples)))
-        print(dumps(sidecar), file=sys.stderr)
+    write_signal_csv(args.out, sig.samples)
+    _emit(dumps(sidecar), os.path.splitext(args.out)[0] + ".json")
     return EXIT_OK
 
 
@@ -150,7 +146,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    _check_count(args.grid, 16, "certification grid")
+    _check_count(args.grid, solver.MIN_CERTIFY_GRID, "certification grid")
     with open(args.result_json) as handle:
         try:
             payload = json.load(handle)
@@ -192,10 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="constraint count")
     p.set_defaults(func=cmd_approximate)
 
-    p = sub.add_parser(
-        "ingest", parents=[out], help="polygon CSV -> radial signal CSV (+sidecar)"
-    )
+    p = sub.add_parser("ingest", help="polygon CSV -> radial signal CSV (+sidecar)")
     p.add_argument("polygon_csv")
+    p.add_argument("--out", required=True, help="signal CSV; the sidecar gets .json")
     p.add_argument("--samples", type=int, default=1024, help="angular sample count")
     p.set_defaults(func=cmd_ingest)
 

@@ -1,9 +1,10 @@
 """Closed planar contours and their radial parametrization.
 
 A protection-region polygon becomes a periodic radial signal by casting rays
-from its centroid: angle ``theta`` runs counter-clockwise from the +x axis
-over ``[-pi, pi)`` and maps affinely onto phase ``t = (theta + pi) / (2*pi)``,
-so sample index 0 points along ``-x``.  For star-shaped contours each ray
+from its area-weighted centroid, which ``Contour`` derives and never takes
+as input: angle ``theta`` runs counter-clockwise from the +x axis over
+``[-pi, pi)`` and maps affinely onto phase ``t = (theta + pi) / (2*pi)``, so
+sample index 0 points along ``-x``.  For star-shaped contours each ray
 meets the boundary once and the parametrization is exact; otherwise the
 largest intersection distance is kept and ``Contour.star_shaped`` is False.
 Only the ray samples are covered: an envelope lies above the linear
@@ -13,13 +14,12 @@ stick out of it until majorant sampling (ROADMAP item 1) covers them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fourier import FourierEnvelope, _check_count, _grid_values
-from .signals import PeriodicSignal, data_lines, format_floats
+from .signals import PeriodicSignal, data_lines
 
 _AREA_EPS = 1e-12
 _RAY_EPS = 1e-12
@@ -133,25 +133,22 @@ def _check_simple(pts: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Contour:
-    """Ordered polygon vertices (implicitly closed) plus a centroid, by
-    default the polygon's area-weighted :func:`centroid`.  Validated on
-    construction: at least 3 finite vertices, nonzero area, no two
+    """Ordered polygon vertices (implicitly closed) and their area-weighted
+    :func:`centroid`, derived on construction and not settable.  Validated
+    on construction: at least 3 finite vertices, nonzero area, and no two
     non-adjacent edges crossing (the first crossing pair in ``(i, j)``
-    order is reported), and a given centroid of two finite numbers."""
+    order is reported)."""
 
     points: np.ndarray
-    centroid: tuple[float, float] | None = None
+    centroid: tuple[float, float] = field(init=False)
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float).reshape(-1, 2)
         c = centroid(pts)  # finite vertices, at least 3 of them, nonzero area
         _check_simple(pts)
-        c = np.asarray(c if self.centroid is None else self.centroid, dtype=float)
-        if c.shape != (2,) or not np.all(np.isfinite(c)):
-            raise ValueError(f"centroid must be two finite numbers, got {self.centroid!r}")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "centroid", (float(c[0]), float(c[1])))
+        object.__setattr__(self, "centroid", c)
 
     @classmethod
     def from_points(cls, points) -> "Contour":
@@ -264,9 +261,3 @@ def read_polygon_csv(path) -> np.ndarray:
             raise ValueError(f"expected 'x,y' per line, got {line!r}")
         rows.append((float(parts[0]), float(parts[1])))
     return np.asarray(rows, dtype=float).reshape(-1, 2)
-
-
-def write_polygon_csv(path, points) -> None:
-    cells = format_floats(np.asarray(points, dtype=float).reshape(-1, 2))
-    lines = [f"{x},{y}" for x, y in zip(cells[::2], cells[1::2])]
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -45,17 +45,14 @@ _SAFETY = 0.1
 
 _RANK_CUT = 1e-12
 
-# Rows per block when ``A^T lam`` is formed from the rows with a nonzero
-# multiplier, so an audit of a dense ``lam`` never copies all ``n`` rows.
-_ROW_BLOCK = 4096
-
 
 @dataclass(frozen=True, eq=False)
 class QpProblem:
     """Problem data: diagonal ``q_diag`` of Q, constraint rows, right-hand sides.
 
-    Stored read-only; a read-only float ``a_rows`` is kept without a copy, and
-    a writeable one is copied, never frozen or aliased."""
+    Each is stored as a read-only copy, so the caller's arrays are never
+    frozen or aliased.  ``q_diag`` needs at least one entry; ``a_rows`` may
+    have none."""
 
     q_diag: np.ndarray
     a_rows: np.ndarray
@@ -63,12 +60,12 @@ class QpProblem:
 
     def __post_init__(self):
         q = np.array(self.q_diag, dtype=float).reshape(-1)
-        a = np.asarray(self.a_rows, dtype=float)
+        a = np.array(self.a_rows, dtype=float)
         if a.ndim != 2 and a.size == 0:
             a = a.reshape(0, q.shape[0])
-        if a.flags.writeable:
-            a = a.copy()
         g = np.array(self.g, dtype=float).reshape(-1)
+        if q.size == 0:
+            raise ValueError("q_diag has no entries")
         if np.any(q <= 0):
             raise ValueError("all q_diag entries must be positive")
         if a.ndim != 2 or a.shape[1] != q.shape[0]:
@@ -130,8 +127,7 @@ class QpSolution:
 
 def _residuals(problem, x: np.ndarray, lam: np.ndarray):
     """The four KKT residuals, then the summed complementarity.  ``A^T lam``
-    is formed from the rows with a nonzero multiplier only, ``_ROW_BLOCK``
-    rows at a time."""
+    is formed from the rows with a nonzero multiplier only."""
     slack = problem.matvec(x) - problem.g
     # 0.0 - min gives +0.0 when nothing is violated and keeps NaN (max drops it).
     primal = float(0.0 - np.min(slack, initial=0.0))
@@ -140,9 +136,7 @@ def _residuals(problem, x: np.ndarray, lam: np.ndarray):
     comp = float(np.max(comp_terms, initial=0.0))
     active = np.flatnonzero(lam)
     grad = 2.0 * problem.q_diag * x
-    for b in range(0, active.size, _ROW_BLOCK):
-        block = active[b : b + _ROW_BLOCK]
-        grad -= lam[block] @ problem.rows(block)
+    grad -= lam[active] @ problem.rows(active)
     stat = float(np.max(np.abs(grad), initial=0.0))
     return primal, dual, comp, stat, float(np.sum(comp_terms))
 
@@ -222,6 +216,8 @@ def _active_set(problem, g, feas_target, support):
         lam[idx[:k]] = np.maximum(lam_w[:k], 0.0)
         return x, lam, failure, adds, drops, warm_rows
 
+    if n == 0:
+        return result(None)  # no row, so none is violated
     for _outer in range(30 * (d + 1) + 100):
         slack = problem.matvec(x) - g
         p = int(np.argmin(slack))

@@ -30,6 +30,7 @@ from .signals import PeriodicSignal
 
 CERTIFY_TOL = 1e-9  # relative to the signal's largest absolute sample
 DEFAULT_CERTIFY_GRID = 8192
+MIN_CERTIFY_GRID = 16
 
 EXACT_POSTSOLVE = "exact_postsolve"
 APRIORI = "apriori"
@@ -91,7 +92,6 @@ def build_constraints(sig: PeriodicSignal, L: int, n: int) -> qp.QpProblem:
     check_run(L, n)
     grid = _GridProblem(sig, int(L), int(n))
     rows = phasor_matrix(grid.L, np.arange(grid.n) / grid.n)
-    rows.setflags(write=False)
     return qp.QpProblem(q_diag=grid.q_diag, a_rows=rows, g=grid.g)
 
 
@@ -209,7 +209,7 @@ def certify(
     Returns ``(certified, min_margin)`` where ``min_margin`` is the smallest
     value of envelope minus signal over ``grid_m`` uniform phases; the check
     passes when ``min_margin >= -CERTIFY_TOL * sig.sup_norm()``.  ``grid_m``
-    (an integer from 16 to ``MAX_CONSTRAINTS``) is a parameter here
+    (an integer from ``MIN_CERTIFY_GRID`` to ``MAX_CONSTRAINTS``) is a parameter here
     only; :func:`approximate` uses the default.  A grid at least four times
     denser than ``max(L, 1) * n`` is recommended so dips between constraint
     phases are visible; when ``grid_m`` divides ``n`` (the default 8192 and
@@ -219,7 +219,8 @@ def certify(
     the envelope's parameters: one inverse real FFT, exact for every grid
     size.
     """
-    grid = _GridProblem(sig, subopt.L, _check_count(grid_m, 16, "certification grid"))
+    grid_m = _check_count(grid_m, MIN_CERTIFY_GRID, "certification grid")
+    grid = _GridProblem(sig, subopt.L, grid_m)
     min_margin = float(np.min(grid.matvec(subopt.params()) - grid.g))
     return min_margin >= -CERTIFY_TOL * sig.sup_norm(), min_margin
 

@@ -19,7 +19,6 @@ from envlp import (
     read_polygon_csv,
     read_signal_csv,
     solver,
-    write_polygon_csv,
     write_signal_csv,
 )
 from envlp.cli import SWEEP_COLUMNS, dumps, main
@@ -47,7 +46,7 @@ def const_csv(tmp_path):
 @pytest.fixture()
 def star_csv(tmp_path):
     path = tmp_path / "star.csv"
-    write_polygon_csv(tmp_path / "star_poly.csv", star_points())
+    np.savetxt(tmp_path / "star_poly.csv", star_points(), delimiter=",")
     rc = main(["ingest", str(tmp_path / "star_poly.csv"), "--samples", "1024", "--out", str(path)])
     assert rc == 0
     return str(path)
@@ -152,7 +151,7 @@ class TestApproximate:
 class TestIngest:
     def test_square_signal_range(self, tmp_path, capsys):
         poly = tmp_path / "square.csv"
-        write_polygon_csv(poly, [(0, 0), (1, 0), (1, 1), (0, 1)])
+        np.savetxt(poly, [(0, 0), (1, 0), (1, 1), (0, 1)], delimiter=",")
         out = tmp_path / "square_signal.csv"
         rc = main(["ingest", str(poly), "--samples", "256", "--out", str(out)])
         assert rc == 0
@@ -172,7 +171,7 @@ class TestIngest:
 
     def test_triangle_has_three_peaks(self, tmp_path):
         poly = tmp_path / "tri.csv"
-        write_polygon_csv(poly, [(0, 0), (1, 0), (0, 1)])
+        np.savetxt(poly, [(0, 0), (1, 0), (0, 1)], delimiter=",")
         out = tmp_path / "tri_signal.csv"
         assert main(["ingest", str(poly), "--samples", "256", "--out", str(out)]) == 0
         r = np.array([float(v) for v in out.read_text().split()])
@@ -184,29 +183,31 @@ class TestIngest:
     def test_two_point_polygon(self, tmp_path, capsys):
         poly = tmp_path / "bad.csv"
         poly.write_text("0,0\n1,1\n")
-        assert main(["ingest", str(poly), "--samples", "256"]) == 1
+        out = tmp_path / "bad_signal.csv"
+        assert main(["ingest", str(poly), "--samples", "256", "--out", str(out)]) == 1
 
     @pytest.mark.parametrize("name", ["sig.json", "sig.JSON"])
     def test_json_out_rejected(self, tmp_path, capsys, name):
         # The sidecar path of sig.json is sig.json itself.
         poly = tmp_path / "square.csv"
-        write_polygon_csv(poly, [(0, 0), (1, 0), (1, 1), (0, 1)])
+        np.savetxt(poly, [(0, 0), (1, 0), (1, 1), (0, 1)], delimiter=",")
         out = tmp_path / name
         assert main(["ingest", str(poly), "--samples", "64", "--out", str(out)]) == 1
         assert "envlp: error:" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_stdout_mode_emits_samples(self, tmp_path, capsys):
-        poly = tmp_path / "square.csv"
-        write_polygon_csv(poly, [(0, 0), (1, 0), (1, 1), (0, 1)])
-        assert main(["ingest", str(poly), "--samples", "64"]) == 0
-        captured = capsys.readouterr()
-        assert len(captured.out.split()) == 64
-        assert "star_shaped" in captured.err
+    def test_out_is_required(self, tmp_path, capsys):
+        # Without --out there is nowhere for the signal and its sidecar to go.
+        poly = tmp_path / "poly.csv"
+        np.savetxt(poly, [(0, 0), (1, 0), (1, 1), (0, 1)], delimiter=",")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["ingest", str(poly), "--samples", "64"])
+        assert exit_info.value.code == 2
+        assert "--out" in capsys.readouterr().err
 
     def test_sidecar_flags_overhang_between_rays(self, tmp_path):
         poly = tmp_path / "overhang.csv"
-        write_polygon_csv(poly, overhang_disk())
+        np.savetxt(poly, overhang_disk(), delimiter=",")
         out = tmp_path / "overhang_signal.csv"
         assert main(["ingest", str(poly), "--samples", "64", "--out", str(out)]) == 0
         sidecar = json.loads((tmp_path / "overhang_signal.json").read_text())
@@ -214,8 +215,11 @@ class TestIngest:
 
     def test_sample_cap_checked_before_casting(self, tmp_path, capsys):
         poly = tmp_path / "square.csv"
-        write_polygon_csv(poly, [(0, 0), (1, 0), (1, 1), (0, 1)])
-        rc, peak = traced_peak(main, ["ingest", str(poly), "--samples", "1000001"])
+        np.savetxt(poly, [(0, 0), (1, 0), (1, 1), (0, 1)], delimiter=",")
+        out = tmp_path / "square_signal.csv"
+        rc, peak = traced_peak(
+            main, ["ingest", str(poly), "--samples", "1000001", "--out", str(out)]
+        )
         assert rc == 1
         assert "envlp: error:" in capsys.readouterr().err
         assert peak < 4e6  # one float per ray would take 8 MB
@@ -224,8 +228,9 @@ class TestIngest:
     def test_sample_count_error_names_the_flag(self, tmp_path, capsys, samples):
         # The message used to name the library's parameter M instead.
         poly = tmp_path / "square.csv"
-        write_polygon_csv(poly, [(0, 0), (1, 0), (1, 1), (0, 1)])
-        assert main(["ingest", str(poly), "--samples", samples]) == 1
+        np.savetxt(poly, [(0, 0), (1, 0), (1, 1), (0, 1)], delimiter=",")
+        out = tmp_path / "square_signal.csv"
+        assert main(["ingest", str(poly), "--samples", samples, "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             f"envlp: error: --samples must be an integer from 64 to 1000000, got {samples}\n"
         )
@@ -602,7 +607,7 @@ def test_cli_needs_only_numpy(tmp_path):
     # scipy and shapely are made unimportable: numpy is the only runtime
     # dependency the package declares.
     poly = tmp_path / "star_poly.csv"
-    write_polygon_csv(poly, star_points())
+    np.savetxt(poly, star_points(), delimiter=",")
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     args = [str(poly), str(tmp_path / "star.csv"), str(tmp_path / "result.json")]

@@ -10,7 +10,6 @@ from envlp import (
     radial_parametrize,
     read_polygon_csv,
     reconstruct_region,
-    write_polygon_csv,
 )
 from envlp import contour as contour_module
 from envlp.contour import _edge_pairs
@@ -286,15 +285,13 @@ class TestContourValidation:
         with pytest.raises(ValueError) as expected:
             Contour.from_points(points)
         with pytest.raises(ValueError) as direct:
-            Contour(points=points, centroid=(0.0, 0.0))
+            Contour(points=points)
         assert str(direct.value) == str(expected.value)
 
-    @pytest.mark.parametrize(
-        "c", [(np.nan, 0.5), (0.5, np.inf), (0.5,), (0.5, 0.5, 0.5)]
-    )
-    def test_constructor_rejects_bad_centroid(self, c):
-        with pytest.raises(ValueError, match="centroid must be two finite numbers"):
-            Contour(points=UNIT_SQUARE, centroid=c)
+    def test_constructor_takes_no_centroid(self):
+        # The centroid is derived from the points, never given.
+        with pytest.raises(TypeError):
+            Contour(UNIT_SQUARE, centroid=(0.0, 0.0))
 
     @pytest.mark.parametrize("points", [UNIT_SQUARE, star_points()], ids=["square", "star"])
     def test_constructor_defaults_to_area_centroid(self, points):
@@ -303,7 +300,7 @@ class TestContourValidation:
 
     def test_constructor_freezes_a_copy(self):
         pts = np.asarray(UNIT_SQUARE, dtype=float)
-        contour = Contour(points=pts, centroid=np.array([0.5, 0.5]))
+        contour = Contour(points=pts)
         assert contour.centroid == (0.5, 0.5)
         assert not contour.points.flags.writeable
         pts[0, 0] = 9.0
@@ -431,11 +428,14 @@ class TestRadialParametrize:
         assert Contour.from_points(NOTCHED).star_shaped is False
 
     def test_star_shaped_depends_on_the_centre(self):
-        # The L-shape is star-shaped about points of its corner square only.
-        pts = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
-        assert Contour(pts, (0.5, 0.5)).star_shaped is True
-        assert Contour.from_points(pts).star_shaped is True
-        assert Contour(pts, (1.8, 0.5)).star_shaped is False
+        # An L-shape is star-shaped about points of its corner square only.
+        # With equal arms its centroid lies there; a long arm pulls it out.
+        even = Contour([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
+        assert even.centroid == pytest.approx((2.5 / 3, 2.5 / 3))
+        assert even.star_shaped is True
+        long_arm = Contour([(0, 0), (4, 0), (4, 1), (1, 1), (1, 2), (0, 2)])
+        assert long_arm.centroid == pytest.approx((1.7, 0.7))
+        assert long_arm.star_shaped is False
 
     def test_centroid_outside_material(self):
         # horseshoe: centroid sits in the void, some rays escape unhit
@@ -685,7 +685,7 @@ class TestBlockedKernelMemory:
 class TestPolygonCsv:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "poly.csv"
-        write_polygon_csv(path, star_points())
+        np.savetxt(path, star_points(), delimiter=",")
         np.testing.assert_array_equal(read_polygon_csv(path), star_points())
 
     def test_comments_skipped(self, tmp_path):

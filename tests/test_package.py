@@ -1,4 +1,5 @@
 import re
+import shlex
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,6 +17,9 @@ from envlp import (
     reconstruct_region,
     solve,
 )
+from envlp.cli import main
+
+from conftest import star_points
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -35,6 +39,19 @@ def test_readme_quick_start_runs():
     result = namespace["result"]
     assert result.cost_appopt == pytest.approx(1 / 3, abs=1e-12)
     assert result.certified is True
+
+
+def test_readme_command_line_runs(tmp_path, monkeypatch, capsys):
+    # Each line of the block, in order, on the star polygon it names.
+    text = README.read_text()
+    section = text[text.index("## Command line"):]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("envlp ")]
+    assert [argv[1] for argv in commands] == ["ingest", "approximate", "sweep", "certify"]
+    monkeypatch.chdir(tmp_path)
+    np.savetxt("star_polygon.csv", star_points(), delimiter=",")
+    for argv in commands:
+        assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
 
 
 _ARC = np.linspace(-0.75 * np.pi, 0.75 * np.pi, 8)

@@ -175,7 +175,8 @@ class TestKktResiduals:
             kkt_residuals(p, s)
 
     def test_dense_multipliers_over_several_row_blocks(self):
-        # 10000 rows with every multiplier nonzero span three blocks of A^T lam.
+        # 10000 nonzero multipliers, far more than a solve's at most 2L+1:
+        # A^T lam over every row still matches the dense product.
         rng = np.random.default_rng(11)
         a = rng.normal(size=(10000, 5))
         p = QpProblem(q_diag=np.full(5, 2.0), a_rows=a, g=np.zeros(10000))
@@ -489,14 +490,15 @@ class TestFailureModes:
         with pytest.raises(ValueError):
             solve(p, initial_lam=np.zeros(3))
 
-    def test_rows_copied_only_when_writeable(self):
-        rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-        problem = QpProblem(q_diag=[1.0, 1.0], a_rows=rows, g=[0.0, 0.0])
-        assert problem.a_rows is not rows and not np.shares_memory(problem.a_rows, rows)
-        assert rows.flags.writeable and not problem.a_rows.flags.writeable
-        rows.setflags(write=False)
-        problem = QpProblem(q_diag=[1.0, 1.0], a_rows=rows, g=[0.0, 0.0])
-        assert problem.a_rows is rows
+    def test_rows_always_copied(self):
+        # Read-only rows are copied too: the problem never aliases the caller's.
+        for writeable in (True, False):
+            rows = np.array([[1.0, 0.0], [0.0, 1.0]])
+            rows.setflags(write=writeable)
+            problem = QpProblem(q_diag=[1.0, 1.0], a_rows=rows, g=[0.0, 0.0])
+            assert not np.shares_memory(problem.a_rows, rows)
+            assert rows.flags.writeable == writeable
+            assert not problem.a_rows.flags.writeable
 
     def test_problem_shape_validation(self):
         with pytest.raises(ValueError):
@@ -507,9 +509,18 @@ class TestFailureModes:
         for rows, g in ((np.ones((2, 1, 2)), [0.0, 0.0]), (np.ones(2), [0.0]), (np.ones(3), [0.0])):
             with pytest.raises(ValueError):
                 QpProblem(q_diag=[1.0, 2.0], a_rows=rows, g=g)
-        assert QpProblem(q_diag=[1.0, 2.0], a_rows=[], g=[]).a_rows.shape == (0, 2)
+        empty = QpProblem(q_diag=[1.0, 2.0], a_rows=[], g=[])
+        assert empty.a_rows.shape == (0, 2)
+        # No rows: the unconstrained minimum x = 0, with no step and no multiplier.
+        s = solve(empty)
+        assert s.converged and s.iterations == 0
+        assert s.x.tolist() == [0.0, 0.0] and s.lam.shape == (0,)
         with pytest.raises(ValueError):
             QpProblem(q_diag=[0.0], a_rows=[[1.0]], g=[0.0])
+        # Zero variables: nothing to solve for, whatever the rows ask.
+        for rows, g in (([], []), (np.zeros((1, 0)), [1.0])):
+            with pytest.raises(ValueError, match="^q_diag has no entries$"):
+                QpProblem(q_diag=[], a_rows=rows, g=g)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("field", ["q_diag", "a_rows", "g"])
