@@ -17,7 +17,13 @@ from envlp import (
 )
 from envlp.fourier import FourierEnvelope, grid_values
 from envlp.qp import TOL_FEAS, TOL_STAT
-from envlp.solver import _GridProblem, _seed_on_grid
+from envlp import qp, solver
+from envlp.solver import (
+    _INTERIOR_START_MIN_L,
+    _GridProblem,
+    _interior_start,
+    _seed_on_grid,
+)
 
 from conftest import count_error, smooth_signal
 
@@ -157,6 +163,11 @@ class TestMatrixFreeSolve:
             lam = np.zeros(2 * n)
             lam[::2] = coarse_lam
             n *= 2
+        elif L >= _INTERIOR_START_MIN_L:
+            # A cold run this large starts from the interior point's rows;
+            # the dense reference starts from the same rows.
+            lam = np.zeros(n)
+            lam[_interior_start(_GridProblem(sig, L, n))] = 1.0
         dense = build_constraints(sig, L, n)
         ref = solve(dense, initial_lam=lam)
         env, sol = solve_appopt(sig, L, n, initial_lam=coarse_lam)
@@ -207,6 +218,105 @@ class TestMatrixFreeSolve:
             tracemalloc.stop()
         assert result.certified
         assert peak < 16e6
+
+
+BENCH_FAMILIES = ("smooth", "square", "sawtooth", "pulse", "star")
+
+
+def family_signal(family, seed=0, m=2048):
+    """A seeded member of one of the five signal families of bench/workloads.py."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(m) / m
+    u = np.mod(t - rng.random(), 1.0)
+    if family == "smooth":
+        k = np.arange(1, 9)
+        phase = rng.uniform(0.0, 2.0 * np.pi, k.size)
+        values = 1.5 + np.cos(2.0 * np.pi * np.multiply.outer(t, k) + phase) @ (0.5 / k)
+    elif family == "square":
+        values = 1.0 + 0.5 * np.sign(np.sin(2.0 * np.pi * u))
+    elif family == "sawtooth":
+        values = 1.0 + u
+    elif family == "pulse":
+        values = 1.0 + (np.mod(4.0 * u, 1.0) < 0.05)
+    else:
+        wedge = np.abs(np.mod(2.0 * np.pi * u, 0.4 * np.pi) - 0.2 * np.pi) / (0.2 * np.pi)
+        values = 1.0 / (1.0 + 0.4 * (1.0 - wedge))
+    return PeriodicSignal.from_samples(values)
+
+
+class TestInteriorStart:
+    @pytest.mark.parametrize("L", [1, 24, 64])
+    def test_kernels_match_dense_rows(self, L, star_signal):
+        # n < 4L reads harmonics above n/2 from folded bins.
+        for n in sorted({2 * L + 1, max(2 * L + 1, 4 * L - 1), 4 * L, 4 * L + 1, 1001, 4096}):
+            grid, a = _GridProblem(star_signal, L, n), build_constraints(star_signal, L, n).a_rows
+            rng = np.random.default_rng(n)
+            y, w = rng.normal(size=n), rng.uniform(0.0, 2.0, n)
+            ref = a.T @ y
+            assert np.max(np.abs(grid.rmatvec(y) - ref)) <= 1e-12 * np.max(np.abs(ref))
+            ref = a.T @ (w[:, None] * a)
+            assert np.max(np.abs(grid.gram(w) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("L, n", [(24, 1024), (48, 4096)])
+    @pytest.mark.parametrize("family", BENCH_FAMILIES)
+    def test_matches_cold_pass_in_fewer_steps(self, family, L, n):
+        sig = family_signal(family)
+        cold = solve(build_constraints(sig, L, n))
+        env, sol = solve_appopt(sig, L, n)
+        assert sol.converged and sol.warm_rows > 0
+        assert sol.adds + sol.drops < cold.adds + cold.drops
+        assert np.max(np.abs(env.params() - cold.x)) <= 1e-9 * np.max(np.abs(cold.x))
+
+    @pytest.mark.parametrize("value", [-1.0, 2.0], ids=["all-negative", "constant"])
+    def test_flat_signals_return_the_cold_result(self, value):
+        # pytest turns any RuntimeWarning of the start into an error.
+        sig = PeriodicSignal.from_samples(np.full(64, value))
+        cold = solve(_GridProblem(sig, 32, 2048))
+        env, sol = solve_appopt(sig, 32, 2048)
+        assert sol.converged
+        np.testing.assert_allclose(env.params(), cold.x, rtol=0, atol=1e-9 * abs(value))
+
+    @pytest.mark.parametrize("bad", ["dependent", "negative multiplier"])
+    def test_rejected_support_starts_cold(self, bad, monkeypatch, star_signal):
+        problem = _GridProblem(star_signal, 24, 1024)
+        cold = solve(problem)
+        g = problem.g / np.max(np.abs(problem.g))
+        if bad == "dependent":
+            support = np.arange(problem.d)  # 2L+1 adjacent phases: no Cholesky factor
+        else:
+            support = np.append(np.flatnonzero(cold.lam)[:3], np.argmin(problem.g))
+            rows = problem.rows(support)
+            m = (rows / (2.0 * problem.q_diag)) @ rows.T
+            assert np.min(np.linalg.solve(m, g[support])) < 0.0
+        assert qp._seed(problem, g, 0.5 / problem.q_diag, support) is None
+        monkeypatch.setattr(solver, "_interior_start", lambda p: support)
+        env, sol = solve_appopt(star_signal, 24, 1024)
+        assert sol.warm_rows == 0
+        np.testing.assert_array_equal(env.params(), cold.x)
+
+    def test_cholesky_retried_once_with_a_shift(self):
+        singular = np.ones((2, 2))  # positive semidefinite, pivot 0
+        assert solver._positive_definite(singular)
+        np.testing.assert_array_equal(np.diag(singular), 1.0 + 1e-12)
+        assert not solver._positive_definite(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_runs_below_the_rule_start_cold(self):
+        sig = family_signal("square")
+        env, sol = solve_appopt(sig, 16, 1024)
+        assert sol.warm_rows == 0
+        np.testing.assert_array_equal(env.params(), solve(_GridProblem(sig, 16, 1024)).x)
+
+    def test_start_memory_is_a_few_grid_arrays(self):
+        # One length-n float array is 131 kB here; the dense rows would be 17 MB.
+        problem = _GridProblem(family_signal("square"), 64, 16384)
+        tracemalloc.start()
+        try:
+            support = _interior_start(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert support.size > 0
+        assert peak <= 1e6
 
 
 class TestLift:
