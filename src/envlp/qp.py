@@ -3,13 +3,18 @@
 Solves ``min x^T Q x  subject to  A x >= g`` with ``Q`` diagonal and positive
 definite by one dual active-set pass in the style of Goldfarb and Idnani
 (Math. Programming 27, 1983): starting from the unconstrained minimum
-``x = 0``, or from the active rows of a warm start, it repeatedly adds the
-worst violated row, with a full step that makes the row tight or a partial
-step (ratio test on the working-set multipliers) that drops a blocking row
-first.  With ``G = (2Q)^-1`` diagonal, each direction needs the inverse of
-the small working-set matrix ``N G N^T``; it is kept and updated in place on
-every add and drop (Gill, Golub, Murray and Saunders, Math. Comp. 28, 1974)
+``x = 0``, or from warm rows, it repeatedly adds the worst violated row,
+with a full step that makes the row tight or a partial step (ratio test on
+the working-set multipliers) that drops a blocking row first.  With
+``G = (2Q)^-1`` diagonal, each direction needs the inverse of the small
+working-set matrix ``N G N^T``; it is kept and updated in place on every
+add and drop (Gill, Golub, Murray and Saunders, Math. Comp. 28, 1974)
 instead of being re-solved.
+
+One rule, :func:`_seed`, picks the warm rows from the candidates a caller
+ranks: all if independent with nonnegative re-solved multipliers, else a
+subset pruned to that, as a crossover from an interior point to a basis
+is (Megiddo, ORSA J. Computing 3(1), 1991).
 
 The problem is homogeneous in ``g``: ``(x, lam)`` solves it exactly when
 ``(x / s, lam / s)`` solves it with ``g / s``.  The pass therefore runs on
@@ -157,11 +162,11 @@ def kkt_residuals(problem, solution: QpSolution):
     return _residuals(problem, x, lam)[:4]
 
 
-def _seed(problem, g, ginv, support):
+def _factor(problem, g, ginv, support):
     """``(N, H, mu)`` on the rows ``support``, or None.
 
     ``H`` inverts ``N G N^T`` and ``mu = H g_W``, so ``x = G N^T mu`` makes
-    every row of ``support`` tight.  None unless there are at most ``d`` rows,
+    every row of ``support`` tight.  None unless there are 1 to ``d`` rows,
     each passes the add step's independence test, and ``mu >= 0``.
     """
     if not 0 < support.size <= ginv.shape[0]:
@@ -181,15 +186,53 @@ def _seed(problem, g, ginv, support):
     return (rows, h, mu) if np.all(mu >= 0.0) else None
 
 
-def _active_set(problem, g, feas_target, support):
+def _seed(problem, g, ginv, warm):
+    """The warm start of a pass, ``(support, N, H, mu)``, or None for ``x = 0``.
+
+    The candidates, rows where ``warm`` is positive, go to :func:`_factor`
+    whole, unsorted.  If it refuses them, they are kept in order of ``warm``
+    (ties by index) while their Gram-Schmidt pivot in the metric ``G``
+    passes ``_RANK_CUT``, up to ``d``; the most negative re-solved
+    multiplier is dropped until none is, and :func:`_factor` takes the rest.
+    """
+    support = np.flatnonzero(warm > 0.0)
+    seed = _factor(problem, g, ginv, support)
+    if seed is None and support.size:
+        ranked = support[np.argsort(-warm[support], kind="stable")]
+        # Orthogonalized twice, ``r @ r`` is the squared pivot _factor tests.
+        basis = problem.rows(ranked)
+        basis *= np.sqrt(ginv)
+        k = 0
+        for j, v in enumerate(basis):
+            if k == ginv.shape[0]:
+                break
+            r = v - basis[:k].T @ (basis[:k] @ v)
+            r -= basis[:k].T @ (basis[:k] @ r)
+            if r @ r > _RANK_CUT * (v @ v):
+                basis[k] = r / np.sqrt(r @ r)
+                ranked[k] = ranked[j]
+                k += 1
+        support = ranked[:k]
+        while support.size:
+            rows = problem.rows(support)
+            mu = np.linalg.solve((rows * ginv) @ rows.T, g[support])
+            if np.min(mu) >= 0.0:
+                break
+            support = np.delete(support, np.argmin(mu))
+        support = np.sort(support)
+        seed = _factor(problem, g, ginv, support)
+    return None if seed is None else (support, *seed)
+
+
+def _active_set(problem, g, feas_target, warm):
     """One dual active-set pass on ``A x >= g``, with ``A`` and ``Q`` those of
     ``problem`` and ``g`` given apart, so the pass can run on scaled data.
 
     Returns ``(x, lam, failure, adds, drops, warm_rows)``.  ``failure`` is
     None once every row holds to ``feas_target``; otherwise it says why the
     pass stopped, and ``(x, lam)`` is its last iterate.  The pass starts from
-    the ``warm_rows`` rows of ``support`` if :func:`_seed` accepts them, else
-    from ``x = 0``, and returns at once, with no step, if no row is violated.
+    the ``warm_rows`` rows that :func:`_seed` takes from ``warm``, else from
+    ``x = 0``, and returns at once, with no step, if no row is violated.
 
     The working set stays linearly independent, so it has at most ``d`` rows.
     Only its rows ``N`` and the inverse ``H`` of ``N G N^T`` are stored, in
@@ -200,15 +243,13 @@ def _active_set(problem, g, feas_target, support):
     """
     n, d = problem.n, problem.d
     ginv = 0.5 / problem.q_diag
+    seed = _seed(problem, g, ginv, warm)  # first: its temporaries die before the buffers
     rows, h, rank1 = np.zeros((d, d)), np.zeros((d, d)), np.empty((d, d))
     lam_w, idx = np.zeros(d), np.zeros(d, dtype=np.intp)
-    x = np.zeros(d)
-    seed = _seed(problem, g, ginv, support)
-    k = warm_rows = 0 if seed is None else support.size
+    k = warm_rows = 0 if seed is None else seed[0].size
     if seed is not None:
-        rows[:k], h[:k, :k], lam_w[:k] = seed
-        idx[:k] = support
-        x = ginv * (rows.T @ lam_w)
+        idx[:k], rows[:k], h[:k, :k], lam_w[:k] = seed
+    x = ginv * (rows.T @ lam_w)  # 0 with no warm rows
     adds = drops = 0
 
     def result(failure):
@@ -286,29 +327,26 @@ def solve(problem, initial_lam: np.ndarray | None = None) -> QpSolution:
     ``0.5 * TOL_STAT * s`` and summed complementarity at most
     ``0.1 * TOL_STAT * (s**2 + x^T Q x)``.
 
-    Every solve runs the pass once and verifies its result once.  The pass
-    starts from the rows where ``initial_lam`` is positive if
-    :func:`_seed` accepts them (their multipliers are re-solved, so only
-    the support of ``initial_lam`` matters), else from ``x = 0``.
+    Every solve runs the pass once and verifies its result once.  The rows
+    where ``initial_lam`` is positive are the candidates for its start,
+    ranked by value (ties by index); :func:`_seed` keeps all of them if at
+    most ``d``, independent and with nonnegative re-solved multipliers,
+    else those kept in rank order while independent, less the negative
+    multipliers; with none kept the pass starts from ``x = 0``.
     ``iterations`` is 0 when that start was already optimal, so the pass
     made no add or drop step, and 1 otherwise.
 
     Raises :class:`NotConverged` with the pass's last iterate attached when
     the constraints are infeasible or the result fails KKT verification.
     """
-    support = np.empty(0, dtype=np.intp)
-    if initial_lam is not None:
-        warm = np.asarray(initial_lam, dtype=float).reshape(-1)
-        if warm.shape[0] != problem.n:
-            raise ValueError(
-                f"initial_lam has length {warm.shape[0]}, expected {problem.n}"
-            )
-        support = np.flatnonzero(warm > 0.0)
+    warm = np.asarray([] if initial_lam is None else initial_lam, dtype=float).reshape(-1)
+    if initial_lam is not None and warm.shape[0] != problem.n:
+        raise ValueError(f"initial_lam has length {warm.shape[0]}, expected {problem.n}")
 
     s = float(np.max(np.abs(problem.g), initial=0.0)) or 1.0
     feas_target = _SAFETY * TOL_FEAS
     x, lam, failure, adds, drops, warm_rows = _active_set(
-        problem, problem.g / s, feas_target, support
+        problem, problem.g / s, feas_target, warm
     )
     x, lam = s * x, s * lam
     primal, dual, comp, stat, comp_sum = _residuals(problem, x, lam)

@@ -15,8 +15,10 @@ from pathlib import Path
 import numpy as np
 
 MIN_SAMPLES = 4
-# Costs square the samples; above this they would leave the float range.
+# Costs square the samples: above MAX they leave the float range, and below
+# MIN (unless all zero) they fall to subnormals or to a 0.0 that looks optimal.
 MAX_MAGNITUDE = 1e150
+MIN_MAGNITUDE = 1e-150
 
 # The interpolant's slope is exactly ``observed_slope``, so its guarantee needs
 # no factor.  What the larger lift does is hide contour tips that fall between
@@ -59,8 +61,9 @@ class PeriodicSignal:
     ``SLOPE_SAFETY`` times the observed slope; ``c_provenance`` records which
     (``ESTIMATED`` or ``USER_SUPPLIED``) and cannot be passed in.  The
     constructor checks that there are at least ``MIN_SAMPLES`` samples, each
-    at most ``MAX_MAGNITUDE`` in magnitude, and that ``lipschitz_c`` is
-    finite and at least their observed slope.
+    at most ``MAX_MAGNITUDE`` in magnitude and, unless all are zero, the
+    largest at least ``MIN_MAGNITUDE``, and that ``lipschitz_c`` is finite
+    and at least their observed slope.
     """
 
     samples: np.ndarray
@@ -73,10 +76,13 @@ class PeriodicSignal:
             raise ValueError(
                 f"need at least {MIN_SAMPLES} samples, got {samples.shape[0]}"
             )
-        if not np.all(np.abs(samples) <= MAX_MAGNITUDE):
+        peak = np.max(np.abs(samples))  # NaN if any sample is NaN
+        if not peak <= MAX_MAGNITUDE:
             raise ValueError(
                 f"signal samples must be finite and at most {MAX_MAGNITUDE:g} in magnitude"
             )
+        if 0.0 < peak < MIN_MAGNITUDE:
+            raise ValueError(f"signal magnitude {peak:g} is nonzero but below {MIN_MAGNITUDE:g}")
         observed = observed_slope(samples)
         if self.lipschitz_c is None:
             c, provenance = SLOPE_SAFETY * observed, ESTIMATED

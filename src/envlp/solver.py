@@ -180,41 +180,26 @@ _START_BACKOFF = 0.995
 _START_GAP = 1e-9
 
 
-def _positive_definite(k: np.ndarray) -> bool:
-    """Whether ``k`` has a Cholesky factor, retried once after adding
-    ``1e-12 * mean(diag)`` to the diagonal of ``k`` in place."""
-    for shift in (0.0, 1e-12 * float(np.mean(np.diag(k)))):
-        k[np.diag_indices_from(k)] += shift
-        try:
-            np.linalg.cholesky(k)
-            return True
-        except np.linalg.LinAlgError:
-            pass
-    return False
-
-
 def _interior_start(problem: _GridProblem) -> np.ndarray:
-    """Rows for the active-set pass to start from, chosen by an interior point.
+    """Row priorities for the active-set pass, ranked by an interior point.
 
     Runs Mehrotra's predictor-corrector (SIAM J. Optim. 2(4), 1992) on
     ``g / max|g|``.  The start ``x = (max(g, 0) + 1) e_0``,
     ``lam = 2 (max(g, 0) + 1) / n`` is primal and dual feasible, because the
     harmonics sum to 0 over the grid, and each step keeps it so.  A step
-    solves ``(2Q + A^T D A) dx = r``, ``D = lam / s``, with one Cholesky of
-    order ``2L+1``; :meth:`_GridProblem.gram` forms the matrix and
-    :meth:`_GridProblem.rmatvec` the right-hand side, so all length-``n``
+    solves ``(2Q + A^T D A) dx = r``, ``D = lam / s``, for two right-hand
+    sides, one LU solve each; :meth:`_GridProblem.gram` forms the matrix and
+    :meth:`_GridProblem.rmatvec` the right-hand sides, so all length-``n``
     work is FFTs and elementwise updates of ``s``, ``lam`` and two buffers.
+    A singular matrix ends the steps.
 
-    Crossover: of the rows with ``lam_i > s_i``, the ``2(2L+1)`` with the
-    largest ``lam_i / s_i`` are taken in that order, up to ``2L+1`` of
-    them, skipping each whose Cholesky pivot fails ``qp._RANK_CUT``; then
-    the most negative of their re-solved multipliers is dropped until none
-    is negative.  The result only chooses rows:
-    :func:`qp.solve` re-solves and verifies them as any warm start.
+    Returns ``lam_i / s_i`` on the ``2(2L+1)`` rows with ``lam_i > s_i`` of
+    largest ratio, 0 elsewhere, in ``lam``'s buffer: priorities only, from
+    which :func:`qp.solve` picks warm rows by the one rule of any start.
     """
     n, high = problem.n, float(np.max(problem.g))
     if not high > 0.0:
-        return np.empty(0, dtype=np.intp)  # x = 0 is optimal
+        return np.zeros(n)  # x = 0 is optimal
     scale = max(high, -float(np.min(problem.g)))
     q2 = 2.0 * problem.q_diag
     top = high / scale + 1.0
@@ -230,12 +215,13 @@ def _interior_start(problem: _GridProblem) -> np.ndarray:
             break
         k = problem.gram(np.divide(lam, s, out=dl))
         k[np.diag_indices_from(k)] += q2
-        if not _positive_definite(k):
-            break
         # numpy has no triangular solve, and at L = 64 one LU solve per
         # right-hand side is four times faster than inverting the factor.
         # Predictor: dl = -lam - lam * ds / s.
-        dx = np.linalg.solve(k, -q2 * x)
+        try:
+            dx = np.linalg.solve(k, -q2 * x)
+        except np.linalg.LinAlgError:
+            break  # k is singular; the corrector solves with the same k
         ds = problem.matvec(dx)
         np.divide(ds, s, out=dl)
         alpha = 1.0 / max(1.0, -float(np.min(dl)), 1.0 + float(np.max(dl)))
@@ -265,41 +251,11 @@ def _interior_start(problem: _GridProblem) -> np.ndarray:
         dl *= alpha
         lam += dl
         del k, w, ds  # freed before the next step allocates its own
-    del dl
     np.divide(lam, s, out=lam)
     ranked = np.flatnonzero(lam > 1.0)
-    ranked = ranked[np.argsort(-lam[ranked], kind="stable")]
-    del lam, s
-
-    ginv = 0.5 / problem.q_diag
-    ranked = ranked[: 2 * problem.d]
-    # Gram-Schmidt in the metric G, each row orthogonalized twice: ``pivot``
-    # is the squared Cholesky pivot of N G N^T that qp._seed tests.
-    basis = problem.rows(ranked)
-    basis *= np.sqrt(ginv)
-    k = 0
-    for j, v in enumerate(basis):
-        if k == problem.d:
-            break
-        r = v - basis[:k].T @ (basis[:k] @ v)
-        r -= basis[:k].T @ (basis[:k] @ r)
-        pivot = float(r @ r)
-        if pivot > qp._RANK_CUT * float(v @ v):
-            basis[k] = r / np.sqrt(pivot)
-            ranked[k] = ranked[j]
-            k += 1
-    support = ranked[:k]
-    rows = problem.rows(support)
-    m = (rows * ginv) @ rows.T
-    g = problem.g[support] / scale
-    while support.size:
-        mu = np.linalg.solve(m, g)
-        worst = int(np.argmin(mu))
-        if mu[worst] >= 0.0:
-            break
-        keep = np.arange(support.size) != worst
-        support, m, g = support[keep], m[np.ix_(keep, keep)], g[keep]
-    return support
+    lam[ranked[np.argsort(-lam[ranked], kind="stable")[2 * problem.d :]]] = 0.0
+    lam[lam <= 1.0] = 0.0
+    return lam
 
 
 def solve_appopt(
@@ -316,20 +272,20 @@ def solve_appopt(
     only as the active-set pass adds them, so memory stays O(n).
 
     ``initial_lam`` may be the multipliers ``lam`` of a run of the same
-    signal on any grid ``i/m``, ``m = len(initial_lam)``: the pass starts
-    from their active phases rounded onto the grid ``i/n``.  Only where the
-    entries are positive matters, so ``None``, an empty array, or one with
-    no positive entry (all zero, negative or NaN) gives no warm start.
-    Without one, a run with ``L >= 24`` starts from the rows that
-    :func:`_interior_start` chooses, and a smaller run starts cold, from
-    ``x = 0``.  Either way the pass alone forms and verifies the result.
+    signal on any grid ``i/m``, ``m = len(initial_lam)``: their active
+    phases, rounded onto the grid ``i/n``, are the candidate start rows.
+    ``None``, an empty array, or one with no positive entry (all zero,
+    negative or NaN) gives none; then a run with ``L >= 24`` takes those
+    :func:`_interior_start` ranks, and a smaller run starts from ``x = 0``.
+    One rule in :func:`qp.solve` picks the start from either, and the pass
+    alone forms and verifies the result.
     """
     check_run(L, n)
     L, n = int(L), int(n)
     problem = _GridProblem(sig, L, n)
     seed = _seed_on_grid(initial_lam, n)
     if L >= _INTERIOR_START_MIN_L and not seed.any():
-        seed[_interior_start(problem)] = 1.0
+        seed = _interior_start(problem)
     solution = qp.solve(problem, initial_lam=seed)
     return FourierEnvelope.from_params(L, solution.x), solution
 
@@ -422,9 +378,9 @@ def approximate(
     are all constraint phases, so it re-checks the solve there, and between
     constraint phases the lift is what guarantees the result.  For another
     grid call ``certify(result.subopt, sig, grid_m=...)``.  ``initial_lam``
-    is a warm start as in :func:`solve_appopt`: the multipliers of a run on
-    any grid.  Without one, a run with ``L >= 24`` starts from the rows an
-    interior point chooses, and a smaller run from zero.
+    is a warm start as in :func:`solve_appopt`; without one, a run with
+    ``L >= 24`` ranks its start rows by an interior point and a smaller run
+    starts from zero.  One rule in :func:`qp.solve` picks the start rows.
     """
     if c_prime_mode not in C_PRIME_MODES:
         raise ValueError(

@@ -353,18 +353,22 @@ class TestWarmWorkingSet:
         assert again.warm_rows == np.count_nonzero(cold.lam) > 0
         assert np.max(np.abs(again.x - cold.x)) <= 1e-12
 
-    def _falls_back_cold(self, problem, lam):
+    def _warm_rows(self, problem, lam):
+        """The rows the warm solve started from, after checking that it
+        matches the cold solve."""
         cold = solve(problem)
         warm = solve(problem, initial_lam=lam)
-        assert warm.converged and warm.iterations == 1
-        assert warm.warm_rows == 0
-        assert (warm.adds, warm.drops) == (cold.adds, cold.drops)
+        assert warm.converged
         assert rel_diff(warm.x, cold.x) <= 1e-9
+        g = problem.g / np.max(np.abs(problem.g))
+        support = qp._seed(problem, g, 0.5 / problem.q_diag, lam)[0]
+        assert warm.warm_rows == support.size
+        return support
 
-    def test_support_larger_than_dimension(self, star_signal, linalg_calls):
+    def test_support_larger_than_dimension(self, star_signal):
         problem = build_constraints(star_signal, 4, 64)
-        self._falls_back_cold(problem, np.ones(problem.n))
-        assert linalg_calls == []  # refused before anything is factored
+        support = self._warm_rows(problem, np.ones(problem.n))
+        assert 0 < support.size <= problem.d
 
     def test_support_of_duplicated_rows(self, star_signal):
         base = build_constraints(star_signal, 8, 128)
@@ -376,12 +380,14 @@ class TestWarmWorkingSet:
         )
         lam = np.zeros(problem.n)
         lam[support] = lam[base.n :] = 1.0
-        self._falls_back_cold(problem, lam)
+        # Ties keep index order, so the copies come last and are skipped.
+        kept = self._warm_rows(problem, lam)
+        np.testing.assert_array_equal(kept, support)
 
     def test_support_of_nearly_dependent_rows(self):
         # Three adjacent phases at L = 1 and n = 16384: the third row's Schur
         # complement is ~5e-15 of its norm, below the add step's cut, yet the
-        # rows factor and their multipliers are positive.
+        # rows factor and their multipliers are all 1.
         n = 16384
         a = phasor_matrix(1, np.arange(n) / n)
         q = np.array([1.0, 2.0, 2.0])
@@ -391,18 +397,39 @@ class TestWarmWorkingSet:
         g[support] = a[support] @ x_tight
         lam = np.zeros(n)
         lam[support] = [1.0, 3.0, 1.0]
-        self._falls_back_cold(QpProblem(q_diag=q, a_rows=a, g=g), lam)
+        # Ranked 101, 100, 102: the third is skipped by the pivot test.
+        kept = self._warm_rows(QpProblem(q_diag=q, a_rows=a, g=g), lam)
+        np.testing.assert_array_equal(kept, [100, 101])
 
     def test_support_with_negative_multiplier(self, star_signal):
         problem = build_constraints(star_signal, 8, 128)
         support = np.flatnonzero(solve(problem).lam)[:3]
-        support = np.append(support, np.argmin(problem.g))
-        rows = problem.a_rows[support]
+        worst = np.argmin(problem.g)
+        offered = np.append(support, worst)
+        rows = problem.a_rows[offered]
         m = (rows / (2.0 * problem.q_diag)) @ rows.T
-        assert np.min(np.linalg.solve(m, problem.g[support])) < 0.0
+        assert np.min(np.linalg.solve(m, problem.g[offered])) < 0.0
         lam = np.zeros(problem.n)
-        lam[support] = 1.0
-        self._falls_back_cold(problem, lam)
+        lam[support] = lam[worst] = 1.0
+        kept = self._warm_rows(problem, lam)
+        np.testing.assert_array_equal(kept, support)
+
+    @pytest.mark.parametrize("L, n", [(4, 64), (8, 128)])
+    def test_values_rank_the_candidates(self, L, n, star_signal):
+        # Every row is a candidate, more than d: the optimal rows rank first,
+        # so they are what the pass starts from, and it takes no step.
+        problem = build_constraints(star_signal, L, n)
+        cold = solve(problem)
+        lam = np.where(cold.lam > 0.0, 2.0, 1.0)
+        kept = self._warm_rows(problem, lam)
+        np.testing.assert_array_equal(kept, np.flatnonzero(cold.lam))
+        assert solve(problem, initial_lam=lam).iterations == 0
+
+    def test_whole_support_is_not_sorted(self, star_signal, monkeypatch):
+        problem, lam = nested_warm_start(star_signal, 8, 128)
+        for name in ("argsort", "sort"):
+            monkeypatch.setattr(np, name, None)
+        assert solve(problem, initial_lam=lam).warm_rows == np.count_nonzero(lam)
 
 
 def five_point_star(depth, phase, m=2048):

@@ -36,6 +36,18 @@ class TestFromSamples:
         with pytest.raises(ValueError, match="at most 1e\\+150 in magnitude"):
             PeriodicSignal.from_samples([0.0, 1e155, 0.0, -1e155])
 
+    @pytest.mark.parametrize("scale", [1e-160, 2.0**-1060], ids=["1e-160", "subnormal"])
+    def test_too_small_to_cost(self, scale):
+        # At 1e-160 the cost of approximate(sig, 8, 256) was subnormal, and at
+        # 2**-1060 the solve failed KKT verification.
+        values = smooth_signal(0).samples * scale
+        with pytest.raises(ValueError, match=r"^signal magnitude \S+ is nonzero but below 1e-150$"):
+            PeriodicSignal.from_samples(values)
+
+    def test_smallest_and_zero_signals_accepted(self):
+        assert PeriodicSignal.from_samples([1e-150, 0.0, -1e-150, 0.0]).sup_norm() == 1e-150
+        assert PeriodicSignal.from_samples(np.zeros(8)).sup_norm() == 0.0
+
     def test_constructor_derives_provenance(self):
         values = [0.0, 1.0, 0.0, -1.0]
         assert PeriodicSignal(values).c_provenance == "estimated"

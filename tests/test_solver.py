@@ -100,8 +100,9 @@ class TestSolveAppopt:
         assert env.b0 == pytest.approx(0.0, abs=1e-12)
         assert env.energy() == pytest.approx(0.0, abs=1e-12)
 
-    # 3e149 puts the largest smooth sample within 15% of MAX_MAGNITUDE (1e150).
-    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e-8, 1e5, 1e8, 3e149])
+    # 3e149 puts the largest smooth sample within 15% of MAX_MAGNITUDE (1e150);
+    # 1e-150 puts the largest sample of each family just above MIN_MAGNITUDE.
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-8, 1e5, 1e8, 3e149])
     @pytest.mark.parametrize("family", sorted(SCALE_FAMILIES))
     def test_scaled_signal_scales_params(self, family, scale):
         samples, L, n = SCALE_FAMILIES[family]
@@ -164,10 +165,9 @@ class TestMatrixFreeSolve:
             lam[::2] = coarse_lam
             n *= 2
         elif L >= _INTERIOR_START_MIN_L:
-            # A cold run this large starts from the interior point's rows;
-            # the dense reference starts from the same rows.
-            lam = np.zeros(n)
-            lam[_interior_start(_GridProblem(sig, L, n))] = 1.0
+            # A cold run this large ranks its candidate rows by the interior
+            # point; the dense reference takes the same ranking.
+            lam = _interior_start(_GridProblem(sig, L, n))
         dense = build_constraints(sig, L, n)
         ref = solve(dense, initial_lam=lam)
         env, sol = solve_appopt(sig, L, n, initial_lam=coarse_lam)
@@ -277,7 +277,7 @@ class TestInteriorStart:
         np.testing.assert_allclose(env.params(), cold.x, rtol=0, atol=1e-9 * abs(value))
 
     @pytest.mark.parametrize("bad", ["dependent", "negative multiplier"])
-    def test_rejected_support_starts_cold(self, bad, monkeypatch, star_signal):
+    def test_rejected_support_is_pruned(self, bad, monkeypatch, star_signal):
         problem = _GridProblem(star_signal, 24, 1024)
         cold = solve(problem)
         g = problem.g / np.max(np.abs(problem.g))
@@ -288,17 +288,52 @@ class TestInteriorStart:
             rows = problem.rows(support)
             m = (rows / (2.0 * problem.q_diag)) @ rows.T
             assert np.min(np.linalg.solve(m, g[support])) < 0.0
-        assert qp._seed(problem, g, 0.5 / problem.q_diag, support) is None
-        monkeypatch.setattr(solver, "_interior_start", lambda p: support)
+        assert qp._factor(problem, g, 0.5 / problem.q_diag, support) is None
+        ranks = np.zeros(problem.n)
+        ranks[support] = 1.0
+        monkeypatch.setattr(solver, "_interior_start", lambda p: ranks)
         env, sol = solve_appopt(star_signal, 24, 1024)
-        assert sol.warm_rows == 0
-        np.testing.assert_array_equal(env.params(), cold.x)
+        assert sol.converged and 0 < sol.warm_rows < support.size
+        assert np.max(np.abs(env.params() - cold.x)) <= 1e-9 * np.max(np.abs(cold.x))
 
-    def test_cholesky_retried_once_with_a_shift(self):
-        singular = np.ones((2, 2))  # positive semidefinite, pivot 0
-        assert solver._positive_definite(singular)
-        np.testing.assert_array_equal(np.diag(singular), 1.0 + 1e-12)
-        assert not solver._positive_definite(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    # Calls alternate predictor and corrector, which solves with the same k.
+    @pytest.mark.parametrize("fails_at", [1, 9], ids=["first step", "fifth step"])
+    def test_singular_step_ends_the_steps(self, fails_at, monkeypatch):
+        sig = family_signal("square")
+        cold = solve(_GridProblem(sig, 24, 1024))
+        calls = []
+
+        def solve_until(*args, _solve=np.linalg.solve):
+            calls.append(len(calls) + 1)
+            if len(calls) == fails_at:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return _solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", solve_until)
+        ranks = _interior_start(_GridProblem(sig, 24, 1024))
+        assert len(calls) == fails_at
+        # Before any step every ratio lam_i / s_i is below 1: nothing is ranked.
+        assert (np.count_nonzero(ranks) > 0) == (fails_at > 1)
+        calls.clear()
+        env, sol = solve_appopt(sig, 24, 1024)
+        assert sol.converged
+        assert np.max(np.abs(env.params() - cold.x)) <= 1e-9 * np.max(np.abs(cold.x))
+
+    def test_non_nested_warm_start_keeps_rows(self):
+        # Grid i/48 is not a subset of i/64: each active phase is rounded to
+        # its nearest row.  Those rows are rejected whole, so the run used to
+        # start cold; now it starts from the rows that can be kept.
+        sig = family_signal("square")
+        coarse = solve_appopt(sig, 8, 48)[1]
+        problem = _GridProblem(sig, 8, 64)
+        rounded = np.flatnonzero(_seed_on_grid(coarse.lam, 64))
+        g = problem.g / np.max(np.abs(problem.g))
+        assert qp._factor(problem, g, 0.5 / problem.q_diag, rounded) is None
+        cold = solve(problem)
+        env, sol = solve_appopt(sig, 8, 64, initial_lam=coarse.lam)
+        assert sol.converged and 0 < sol.warm_rows <= rounded.size
+        assert sol.adds < cold.adds
+        assert np.max(np.abs(env.params() - cold.x)) <= 1e-9 * np.max(np.abs(cold.x))
 
     def test_runs_below_the_rule_start_cold(self):
         sig = family_signal("square")
@@ -311,11 +346,11 @@ class TestInteriorStart:
         problem = _GridProblem(family_signal("square"), 64, 16384)
         tracemalloc.start()
         try:
-            support = _interior_start(problem)
+            ranks = _interior_start(problem)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert support.size > 0
+        assert 0 < np.count_nonzero(ranks) <= 2 * problem.d
         assert peak <= 1e6
 
 
