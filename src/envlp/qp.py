@@ -12,9 +12,8 @@ add and drop (Gill, Golub, Murray and Saunders, Math. Comp. 28, 1974)
 instead of being re-solved.
 
 One rule, :func:`_seed`, picks the warm rows from the candidates a caller
-ranks: all if independent with nonnegative re-solved multipliers, else a
-subset pruned to that, as a crossover from an interior point to a basis
-is (Megiddo, ORSA J. Computing 3(1), 1991).
+ranks, as :func:`solve` states; its pruning is a crossover from an
+interior point to a basis (Megiddo, ORSA J. Computing 3(1), 1991).
 
 The problem is homogeneous in ``g``: ``(x, lam)`` solves it exactly when
 ``(x / s, lam / s)`` solves it with ``g / s``.  The pass therefore runs on
@@ -187,18 +186,19 @@ def _factor(problem, g, ginv, support):
 
 
 def _seed(problem, g, ginv, warm):
-    """The warm start of a pass, ``(support, N, H, mu)``, or None for ``x = 0``.
+    """The warm start of a pass, ``(support, N, H, mu)``, or None for ``x = 0``,
+    picked from ``warm`` by the rule :func:`solve` states.
 
-    The candidates, rows where ``warm`` is positive, go to :func:`_factor`
-    whole, unsorted.  If it refuses them, they are kept in order of ``warm``
-    (ties by index) while their Gram-Schmidt pivot in the metric ``G``
-    passes ``_RANK_CUT``, up to ``d``; the most negative re-solved
-    multiplier is dropped until none is, and :func:`_factor` takes the rest.
+    The whole support goes to :func:`_factor` unsorted.  If it is refused,
+    a ranked row counts as independent when its Gram-Schmidt pivot in the
+    metric ``G`` passes ``_RANK_CUT``, and :func:`_factor` takes the rows
+    left after the pruning.
     """
     support = np.flatnonzero(warm > 0.0)
     seed = _factor(problem, g, ginv, support)
     if seed is None and support.size:
-        ranked = support[np.argsort(-warm[support], kind="stable")]
+        # Twice d rows leave Gram-Schmidt room for d independent ones among near-ties.
+        ranked = support[np.argsort(-warm[support], kind="stable")[: 2 * ginv.shape[0]]]
         # Orthogonalized twice, ``r @ r`` is the squared pivot _factor tests.
         basis = problem.rows(ranked)
         basis *= np.sqrt(ginv)
@@ -329,10 +329,13 @@ def solve(problem, initial_lam: np.ndarray | None = None) -> QpSolution:
 
     Every solve runs the pass once and verifies its result once.  The rows
     where ``initial_lam`` is positive are the candidates for its start,
-    ranked by value (ties by index); :func:`_seed` keeps all of them if at
-    most ``d``, independent and with nonnegative re-solved multipliers,
-    else those kept in rank order while independent, less the negative
-    multipliers; with none kept the pass starts from ``x = 0``.
+    ranked by value (ties by index), so only the order and sign of
+    ``initial_lam`` are read.  :func:`_seed` keeps all of them if at most
+    ``d``, independent and with nonnegative re-solved multipliers.  Else
+    it reads at most the first ``2d`` ranked candidates (``2(2L+1)`` on
+    the envelope grid), keeps each independent of those already kept, up
+    to ``d``, and drops the most negative re-solved multiplier until none
+    is.  With none kept the pass starts from ``x = 0``.
     ``iterations`` is 0 when that start was already optimal, so the pass
     made no add or drop step, and 1 otherwise.
 

@@ -193,9 +193,8 @@ def _interior_start(problem: _GridProblem) -> np.ndarray:
     work is FFTs and elementwise updates of ``s``, ``lam`` and two buffers.
     A singular matrix ends the steps.
 
-    Returns ``lam_i / s_i`` on the ``2(2L+1)`` rows with ``lam_i > s_i`` of
-    largest ratio, 0 elsewhere, in ``lam``'s buffer: priorities only, from
-    which :func:`qp.solve` picks warm rows by the one rule of any start.
+    Returns ``lam_i / s_i`` where it is above 1, 0 elsewhere, in ``lam``'s
+    buffer: priorities only, from which :func:`qp.solve` picks warm rows.
     """
     n, high = problem.n, float(np.max(problem.g))
     if not high > 0.0:
@@ -252,8 +251,6 @@ def _interior_start(problem: _GridProblem) -> np.ndarray:
         lam += dl
         del k, w, ds  # freed before the next step allocates its own
     np.divide(lam, s, out=lam)
-    ranked = np.flatnonzero(lam > 1.0)
-    lam[ranked[np.argsort(-lam[ranked], kind="stable")[2 * problem.d :]]] = 0.0
     lam[lam <= 1.0] = 0.0
     return lam
 
@@ -273,12 +270,12 @@ def solve_appopt(
 
     ``initial_lam`` may be the multipliers ``lam`` of a run of the same
     signal on any grid ``i/m``, ``m = len(initial_lam)``: their active
-    phases, rounded onto the grid ``i/n``, are the candidate start rows.
-    ``None``, an empty array, or one with no positive entry (all zero,
-    negative or NaN) gives none; then a run with ``L >= 24`` takes those
-    :func:`_interior_start` ranks, and a smaller run starts from ``x = 0``.
-    One rule in :func:`qp.solve` picks the start from either, and the pass
-    alone forms and verifies the result.
+    phases, rounded onto the grid ``i/n``, are the candidate start rows,
+    all of equal rank.  ``None``, an empty array, or one with no positive
+    entry (all zero, negative or NaN) gives none; then a run with
+    ``L >= 24`` takes those :func:`_interior_start` ranks, and a smaller
+    run starts from ``x = 0``.  :func:`qp.solve` picks the start from
+    either, and the pass alone forms and verifies the result.
     """
     check_run(L, n)
     L, n = int(L), int(n)
@@ -378,9 +375,8 @@ def approximate(
     are all constraint phases, so it re-checks the solve there, and between
     constraint phases the lift is what guarantees the result.  For another
     grid call ``certify(result.subopt, sig, grid_m=...)``.  ``initial_lam``
-    is a warm start as in :func:`solve_appopt`; without one, a run with
-    ``L >= 24`` ranks its start rows by an interior point and a smaller run
-    starts from zero.  One rule in :func:`qp.solve` picks the start rows.
+    is the warm start of :func:`solve_appopt`, from which, or else from an
+    interior point or zero, :func:`qp.solve` picks the start rows.
     """
     if c_prime_mode not in C_PRIME_MODES:
         raise ValueError(

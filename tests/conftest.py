@@ -72,6 +72,30 @@ def smooth_signal(seed, m=512, base=1.5, harmonics=3):
     return PeriodicSignal.from_samples(values)
 
 
+BENCH_FAMILIES = ("smooth", "square", "sawtooth", "pulse", "star")
+
+
+def family_signal(family, seed=0, m=2048):
+    """A seeded member of one of the five signal families of bench/workloads.py."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(m) / m
+    u = np.mod(t - rng.random(), 1.0)
+    if family == "smooth":
+        k = np.arange(1, 9)
+        phase = rng.uniform(0.0, 2.0 * np.pi, k.size)
+        values = 1.5 + np.cos(2.0 * np.pi * np.multiply.outer(t, k) + phase) @ (0.5 / k)
+    elif family == "square":
+        values = 1.0 + 0.5 * np.sign(np.sin(2.0 * np.pi * u))
+    elif family == "sawtooth":
+        values = 1.0 + u
+    elif family == "pulse":
+        values = 1.0 + (np.mod(4.0 * u, 1.0) < 0.05)
+    else:
+        wedge = np.abs(np.mod(2.0 * np.pi * u, 0.4 * np.pi) - 0.2 * np.pi) / (0.2 * np.pi)
+        values = 1.0 / (1.0 + 0.4 * (1.0 - wedge))
+    return PeriodicSignal.from_samples(values)
+
+
 @pytest.fixture(scope="session")
 def cos_signal():
     t = np.arange(1024) / 1024

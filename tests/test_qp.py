@@ -13,9 +13,12 @@ from envlp import (
     phasor_matrix,
     solve,
 )
-from envlp import qp
+from envlp import qp, solve_appopt
 from envlp.errors import NotConverged
 from envlp.qp import TOL_FEAS, TOL_STAT
+from envlp.solver import _GridProblem
+
+from conftest import BENCH_FAMILIES, family_signal
 
 
 def random_feasible_problem(rng, n=30, d=4, with_ref=False):
@@ -430,6 +433,33 @@ class TestWarmWorkingSet:
         for name in ("argsort", "sort"):
             monkeypatch.setattr(np, name, None)
         assert solve(problem, initial_lam=lam).warm_rows == np.count_nonzero(lam)
+
+    @pytest.mark.parametrize(
+        "start, family, L, n",
+        [("dense", "square", 64, 4096), ("nested", None, 8, 256)]
+        + [("interior", f, L, n) for f in BENCH_FAMILIES for L, n in ((24, 1024), (64, 4096))],
+    )
+    def test_start_reads_at_most_twice_d_rows(
+        self, start, family, L, n, star_signal, monkeypatch
+    ):
+        # No start forms more than 2(2L+1) rows, so any initial_lam keeps memory O(n).
+        batches = []
+        for cls in (QpProblem, _GridProblem):
+
+            def recorded(grid, idx, _rows=cls.rows):
+                batches.append(np.size(idx))
+                return _rows(grid, idx)
+
+            monkeypatch.setattr(cls, "rows", recorded)
+        if start == "nested":
+            problem, lam = nested_warm_start(star_signal, L, n // 2)
+            batches.clear()
+            sol = solve(problem, initial_lam=lam)
+        else:
+            lam = np.ones(n) if start == "dense" else None
+            sol = solve_appopt(family_signal(family), L, n, initial_lam=lam)[1]
+        assert sol.converged and sol.warm_rows > 0
+        assert 0 < max(batches) <= 2 * (2 * L + 1)
 
 
 def five_point_star(depth, phase, m=2048):
