@@ -49,6 +49,11 @@ _SAFETY = 0.1
 
 _RANK_CUT = 1e-12
 
+# When the whole support is refused, :func:`_seed` reads at most this many
+# times ``d`` ranked candidates: twice ``d`` leaves Gram-Schmidt room for
+# ``d`` independent rows among near-ties.
+_SEED_READ = 2
+
 
 @dataclass(frozen=True, eq=False)
 class QpProblem:
@@ -197,8 +202,8 @@ def _seed(problem, g, ginv, warm):
     support = np.flatnonzero(warm > 0.0)
     seed = _factor(problem, g, ginv, support)
     if seed is None and support.size:
-        # Twice d rows leave Gram-Schmidt room for d independent ones among near-ties.
-        ranked = support[np.argsort(-warm[support], kind="stable")[: 2 * ginv.shape[0]]]
+        read = _SEED_READ * ginv.shape[0]
+        ranked = support[np.argsort(-warm[support], kind="stable")[:read]]
         # Orthogonalized twice, ``r @ r`` is the squared pivot _factor tests.
         basis = problem.rows(ranked)
         basis *= np.sqrt(ginv)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -126,6 +127,19 @@ class _GridProblem:
         bins = np.fft.rfft(y)[: self.L + 1]
         return np.concatenate((bins.real[:1], 2.0 * bins.real[1:], 2.0 * bins.imag[1:]))
 
+    @cached_property
+    def _gram_tables(self):
+        """:meth:`gram`'s index tables, built on its first call: the FFT bin
+        of each harmonic ``m <= 2L`` and whether it is folded, then ``|j - k|``,
+        ``j + k`` and ``sign(j - k)`` for ``j, k = 1..L``."""
+        L, n = self.L, self.n
+        m = np.arange(2 * L + 1)
+        folded = m > n // 2
+        j = np.arange(1, L + 1)
+        diff = j - j[:, None]
+        sign = np.sign(diff).astype(float)
+        return np.where(folded, n - m, m), folded, np.abs(diff), j + j[:, None], sign
+
     def gram(self, w: np.ndarray) -> np.ndarray:
         """``A^T diag(w) A`` from one real FFT of ``w``.
 
@@ -135,14 +149,11 @@ class _GridProblem:
         FFT, and a harmonic above ``n/2`` is read from bin ``n - m`` with
         ``S`` negated, so the result is exact for every ``n >= 2L+1``.
         """
-        L, n = self.L, self.n
-        m = np.arange(2 * L + 1)
-        folded = m > n // 2
-        bins = np.fft.rfft(w)[np.where(folded, n - m, m)]
+        L = self.L
+        bin_of, folded, diff, total, sign = self._gram_tables
+        bins = np.fft.rfft(w)[bin_of]
         c = bins.real
         s = np.where(folded, bins.imag, -bins.imag)
-        j = np.arange(1, L + 1)
-        diff, total = np.abs(j - j[:, None]), j + j[:, None]
         out = np.empty((self.d, self.d))
         out[0, 0] = c[0]
         out[0, 1 : L + 1] = 2.0 * c[1 : L + 1]
@@ -150,18 +161,20 @@ class _GridProblem:
         out[1 : L + 1, 1 : L + 1] = 2.0 * (c[diff] + c[total])
         out[L + 1 :, L + 1 :] = 2.0 * (c[diff] - c[total])
         # Row cos(j), column sin(k): -2 (S_{k+j} + S_{k-j}), S_{-m} = -S_m.
-        out[1 : L + 1, L + 1 :] = -2.0 * (s[total] + np.sign(j - j[:, None]) * s[diff])
+        out[1 : L + 1, L + 1 :] = -2.0 * (s[total] + sign * s[diff])
         out[1:, 0] = out[0, 1:]
         out[L + 1 :, 1 : L + 1] = out[1 : L + 1, L + 1 :].T
         return out
 
 
 def _seed_on_grid(initial_lam, n: int) -> np.ndarray:
-    """Mark row ``(i*n + m//2) // m mod n``, the phase ``j/n`` nearest ``i/m``,
-    for each positive entry ``i`` of ``initial_lam``, ``m = len(initial_lam)``."""
+    """Carry each positive entry ``i`` of ``initial_lam`` to row
+    ``(i*n + m//2) // m mod n``, the phase ``j/n`` nearest ``i/m``,
+    ``m = len(initial_lam)``; a row two phases reach keeps the larger."""
     lam = np.asarray([] if initial_lam is None else initial_lam, dtype=float).reshape(-1)
     seed = np.zeros(n)
-    seed[(np.flatnonzero(lam > 0.0) * n + lam.size // 2) // lam.size % n] = 1.0
+    active = np.flatnonzero(lam > 0.0)
+    np.maximum.at(seed, (active * n + lam.size // 2) // lam.size % n, lam[active])
     return seed
 
 
@@ -174,10 +187,15 @@ _INTERIOR_START_MIN_L = 24
 
 # Mehrotra steps of the interior start: at most this many, each stopping
 # short of the boundary by this factor, until the duality gap falls to this
-# fraction of the energy.
+# fraction of the energy, or to the floor while more rows are ranked than
+# qp._seed reads.  On the smooth family at 5 seeds x 3 scales x (48, 4096),
+# (64, 4096), (64, 16384) and (64, 65536), the pass then took 0 steps in 54
+# of 60 runs (96 in all); with the floor at 1e-12, in 48 (171 steps), and
+# with none, in 0 (9483 steps).
 _START_STEPS = 50
 _START_BACKOFF = 0.995
 _START_GAP = 1e-9
+_START_FLOOR = 1e-13
 
 
 def _interior_start(problem: _GridProblem) -> np.ndarray:
@@ -191,7 +209,14 @@ def _interior_start(problem: _GridProblem) -> np.ndarray:
     sides, one LU solve each; :meth:`_GridProblem.gram` forms the matrix and
     :meth:`_GridProblem.rmatvec` the right-hand sides, so all length-``n``
     work is FFTs and elementwise updates of ``s``, ``lam`` and two buffers.
-    A singular matrix ends the steps.
+
+    The steps stop once the duality gap ``s^T lam`` is at most ``1e-9`` of
+    the energy ``x^T Q x`` and at most ``2(2L+1)`` rows have ``lam_i > s_i``,
+    the most candidates :func:`qp._seed` reads.  With more (a degenerate
+    problem, where many rows are nearly tight) they go on to a gap of
+    ``1e-13`` of the energy, where the top-ranked rows are mostly spread
+    enough for ``qp._seed`` to find ``2L+1`` independent ones.  At most
+    ``_START_STEPS`` steps are taken, and a singular matrix ends them.
 
     Returns ``lam_i / s_i`` where it is above 1, 0 elsewhere, in ``lam``'s
     buffer: priorities only, from which :func:`qp.solve` picks warm rows.
@@ -210,7 +235,11 @@ def _interior_start(problem: _GridProblem) -> np.ndarray:
     dl = np.empty(n)
     for _step in range(_START_STEPS):
         gap = float(s @ lam)
-        if gap <= _START_GAP * float(x @ (problem.q_diag * x)):
+        energy = float(x @ (problem.q_diag * x))
+        if gap <= _START_GAP * energy and (
+            gap <= _START_FLOOR * energy
+            or np.count_nonzero(lam > s) <= qp._SEED_READ * problem.d
+        ):
             break
         k = problem.gram(np.divide(lam, s, out=dl))
         k[np.diag_indices_from(k)] += q2
@@ -271,7 +300,8 @@ def solve_appopt(
     ``initial_lam`` may be the multipliers ``lam`` of a run of the same
     signal on any grid ``i/m``, ``m = len(initial_lam)``: their active
     phases, rounded onto the grid ``i/n``, are the candidate start rows,
-    all of equal rank.  ``None``, an empty array, or one with no positive
+    ranked by their values; a row that two phases round to takes the
+    larger.  ``None``, an empty array, or one with no positive
     entry (all zero, negative or NaN) gives none; then a run with
     ``L >= 24`` takes those :func:`_interior_start` ranks, and a smaller
     run starts from ``x = 0``.  :func:`qp.solve` picks the start from
@@ -375,8 +405,9 @@ def approximate(
     are all constraint phases, so it re-checks the solve there, and between
     constraint phases the lift is what guarantees the result.  For another
     grid call ``certify(result.subopt, sig, grid_m=...)``.  ``initial_lam``
-    is the warm start of :func:`solve_appopt`, from which, or else from an
-    interior point or zero, :func:`qp.solve` picks the start rows.
+    is the warm start of :func:`solve_appopt`, whose values rank the
+    candidate rows from which, or else from an interior point or zero,
+    :func:`qp.solve` picks the start rows.
     """
     if c_prime_mode not in C_PRIME_MODES:
         raise ValueError(

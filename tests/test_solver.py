@@ -207,6 +207,26 @@ class TestMatrixFreeSolve:
         if n % m == 0:
             np.testing.assert_array_equal(rows, active * (n // m))
 
+    def test_multiplier_values_pass_through(self):
+        # Phases 1/8 and 2/8 round to row 1 of i/4, and 0 and 7/8 to row 0:
+        # each row keeps the larger value.  Entries that are not positive
+        # seed nothing.
+        lam = np.array([0.5, 0.3, 0.7, -1.0, 0.0, np.nan, 2.0, 0.1])
+        np.testing.assert_array_equal(_seed_on_grid(lam, 4), [0.5, 0.7, 0.0, 2.0])
+        seed = _seed_on_grid(lam, 16)
+        np.testing.assert_array_equal(seed[::2], np.where(lam > 0.0, lam, 0.0))
+        assert not seed[1::2].any()
+
+    def test_warm_start_is_ranked_by_its_values(self):
+        # Over 2000 candidate rows: the first 2(2L+1) by value, not by index,
+        # are the ones the start reads, as when qp.solve gets them directly.
+        problem = _GridProblem(family_signal("smooth"), 48, 4096)
+        ranks = _interior_start(problem)
+        ref = solve(problem, initial_lam=ranks)
+        env, sol = solve_appopt(family_signal("smooth"), 48, 4096, initial_lam=ranks)
+        assert sol.warm_rows == ref.warm_rows
+        np.testing.assert_array_equal(env.params(), ref.x)
+
     def test_memory_stays_linear_in_n(self):
         # The dense 2**16 x 129 constraint matrix alone is 67.6 MB.
         sig, _, _ = _grid_case("smooth", None)
@@ -247,6 +267,16 @@ class TestInteriorStart:
             ref = a.T @ (w[:, None] * a)
             assert np.max(np.abs(grid.gram(w) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    def test_gram_results_are_independent(self, star_signal):
+        # The index tables are built once per problem; each result is new.
+        grid = _GridProblem(star_signal, 24, 1024)
+        w = np.random.default_rng(0).uniform(0.0, 2.0, grid.n)
+        first, second = grid.gram(w), grid.gram(w)
+        np.testing.assert_array_equal(first, second)
+        kept = second.copy()
+        first += 1.0
+        np.testing.assert_array_equal(second, kept)
+
     @pytest.mark.parametrize("L, n", [(24, 1024), (48, 4096)])
     @pytest.mark.parametrize("family", BENCH_FAMILIES)
     def test_matches_cold_pass_in_fewer_steps(self, family, L, n):
@@ -256,6 +286,36 @@ class TestInteriorStart:
         assert sol.converged and sol.warm_rows > 0
         assert sol.adds + sol.drops < cold.adds + cold.drops
         assert np.max(np.abs(env.params() - cold.x)) <= 1e-9 * np.max(np.abs(cold.x))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("L, n", [(48, 4096), (64, 4096), (64, 16384)])
+    def test_degenerate_start_seeds_a_full_set(self, L, n, seed):
+        # The smooth family is nearly its own envelope: at a gap of 1e-9 of
+        # the energy some 2000 rows still have lam > s, so the steps go on.
+        sig = family_signal("smooth", seed)
+        problem = _GridProblem(sig, L, n)
+        cold = solve(problem)
+        env, sol = solve_appopt(sig, L, n)
+        assert sol.converged and sol.warm_rows == problem.d
+        assert sol.adds + sol.drops == 0
+        assert np.max(np.abs(env.params() - cold.x)) <= 1e-9 * np.max(np.abs(cold.x))
+
+    @pytest.mark.parametrize("family", [f for f in BENCH_FAMILIES if f != "smooth"])
+    def test_few_ranked_rows_stop_at_the_first_gap(self, family, monkeypatch):
+        problem = _GridProblem(family_signal(family), 48, 4096)
+        ranks = _interior_start(problem)
+        monkeypatch.setattr(solver, "_START_FLOOR", solver._START_GAP)
+        assert _interior_start(problem).tobytes() == ranks.tobytes()
+
+    def test_fully_degenerate_start_is_capped(self, monkeypatch):
+        # At (24, 1024) the smooth signal is its own envelope: every row is
+        # tight, and every one is ranked.
+        calls = []
+        gram = _GridProblem.gram
+        monkeypatch.setattr(_GridProblem, "gram", lambda p, w: calls.append(1) or gram(p, w))
+        ranks = _interior_start(_GridProblem(family_signal("smooth"), 24, 1024))
+        assert 0 < len(calls) <= solver._START_STEPS
+        assert np.count_nonzero(ranks) > 2 * (2 * 24 + 1)
 
     @pytest.mark.parametrize("value", [-1.0, 2.0], ids=["all-negative", "constant"])
     def test_flat_signals_return_the_cold_result(self, value):
