@@ -5,7 +5,9 @@ failed sweep rows, 1 input errors (``ValueError``, ``OSError``) or a QP that
 does not solve (``NotConverged``), 2 errors argparse reports (an unknown flag,
 or a missing or malformed value).  Output is deterministic: each float is its
 shortest round-trip ``repr``, which parses back bit for bit, and payloads
-carry no timestamps, so identical inputs give byte-identical output.
+carry no timestamps, so identical inputs give byte-identical output on the
+same numpy build and BLAS thread count; across those the last digits of a
+float may differ.
 """
 
 from __future__ import annotations

@@ -7,9 +7,10 @@ as input: angle ``theta`` runs counter-clockwise from the +x axis over
 sample index 0 points along ``-x``.  For star-shaped contours each ray
 meets the boundary once and the parametrization is exact; otherwise the
 largest intersection distance is kept and ``Contour.star_shaped`` is False.
-Only the ray samples are covered: an envelope lies above the linear
-interpolant of the ``M`` samples, and polygon vertices between two rays may
-stick out of it until majorant sampling (ROADMAP item 1) covers them.
+Each sample is the largest boundary distance over the two ray intervals
+next to it, so the linear interpolant of the ``M`` samples, and any
+envelope above it, lies at or above the polygon's boundary distance at
+every angle, also at vertices between two rays.
 """
 
 from __future__ import annotations
@@ -174,17 +175,18 @@ class Contour:
         return not np.any(s_num * np.sign(np.sum(s_num)) < -tol)
 
 
-def radial_parametrize(contour: Contour, M: int = 1024) -> PeriodicSignal:
-    """Radial signal of the contour on ``M`` uniform angles.
+def _ray_hits(contour: Contour, M: int):
+    """Where ``M`` uniform rays from the centroid meet the boundary.
 
-    Sample ``j`` is the boundary distance along angle ``-pi + 2*pi*j/M`` from
-    the centroid, the farthest where a ray crosses more than once.  Each edge
-    is cast only against the rays its angular span from the centroid covers,
+    Returns ``(far, start, w_len)``: ``far[j]`` is the boundary distance
+    along angle ``-pi + 2*pi*j/M``, the farthest where a ray crosses more
+    than once; ``start`` and ``w_len`` are each vertex's angle in ray units
+    (``0`` at ``-pi``) and its distance from the centroid.  Each edge is
+    cast only against the rays its angular span from the centroid covers,
     plus one ray and a rounding slack on each side, so a hit is never missed
     and the cost is O(V + M) for a star-shaped polygon; pairs are formed in
     chunks, so memory stays bounded for any ``M`` and vertex count.
     """
-    M = _check_count(M, _MIN_RAYS, "M")
     ex, ey, wx, wy, s_num = contour._edges()
     e_len, w_len = np.hypot(ex, ey), np.hypot(wx, wy)
     tol = _RAY_EPS * e_len
@@ -223,7 +225,23 @@ def radial_parametrize(contour: Contour, M: int = 1024) -> PeriodicSignal:
             f"ray at angle {theta[missed[0]]:.6f} missed the boundary; "
             "is the centroid inside the polygon?"
         )
-    return PeriodicSignal.from_samples(far)
+    return far, start, w_len
+
+
+def radial_parametrize(contour: Contour, M: int = 1024) -> PeriodicSignal:
+    """Radial signal of the contour on ``M`` uniform angles whose periodic
+    linear interpolant lies at or above the polygon at every angle.
+
+    Sample ``j``, at angle ``-pi + 2*pi*j/M``, is the largest boundary
+    distance over the two ray intervals next to it: along one edge the
+    distance is convex in the angle, so over an interval it peaks at a ray
+    hit (:func:`_ray_hits`) or at a vertex inside it.
+    """
+    M = _check_count(M, _MIN_RAYS, "M")
+    far, start, w_len = _ray_hits(contour, M)
+    cell = np.maximum(far, np.roll(far, -1))
+    np.maximum.at(cell, np.floor(start).astype(np.int64) % M, w_len)
+    return PeriodicSignal.from_samples(np.maximum(np.roll(cell, 1), cell))
 
 
 def reconstruct_region(

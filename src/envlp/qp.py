@@ -135,8 +135,9 @@ class QpSolution:
 
 
 def _residuals(problem, x: np.ndarray, lam: np.ndarray):
-    """The four KKT residuals, then the summed complementarity.  ``A^T lam``
-    is formed from the rows with a nonzero multiplier only."""
+    """The four KKT residuals, then the summed complementarity and
+    ``max(|A|^T |lam|)``, the size of the terms summed into ``A^T lam``.
+    ``A^T lam`` is formed from the rows with a nonzero multiplier only."""
     slack = problem.matvec(x) - problem.g
     # 0.0 - min gives +0.0 when nothing is violated and keeps NaN (max drops it).
     primal = float(0.0 - np.min(slack, initial=0.0))
@@ -144,10 +145,12 @@ def _residuals(problem, x: np.ndarray, lam: np.ndarray):
     comp_terms = np.abs(lam * slack)
     comp = float(np.max(comp_terms, initial=0.0))
     active = np.flatnonzero(lam)
+    rows = problem.rows(active)
     grad = 2.0 * problem.q_diag * x
-    grad -= lam[active] @ problem.rows(active)
+    grad -= lam[active] @ rows
     stat = float(np.max(np.abs(grad), initial=0.0))
-    return primal, dual, comp, stat, float(np.sum(comp_terms))
+    terms = float(np.max(np.abs(lam[active]) @ np.abs(rows), initial=0.0))
+    return primal, dual, comp, stat, float(np.sum(comp_terms)), terms
 
 
 def kkt_residuals(problem, solution: QpSolution):
@@ -329,8 +332,10 @@ def solve(problem, initial_lam: np.ndarray | None = None) -> QpSolution:
     The tolerances are fixed at ``TOL_FEAS`` and ``TOL_STAT``, relative to
     ``s = max|g|`` (``s = 1`` when ``g`` is zero): the returned solution has
     primal violation at most ``0.1 * TOL_FEAS * s``, stationarity at most
-    ``0.5 * TOL_STAT * s`` and summed complementarity at most
-    ``0.1 * TOL_STAT * (s**2 + x^T Q x)``.
+    ``0.5 * TOL_STAT * s`` or, if larger, ``d * eps * max(|A|^T |lam|)``,
+    the rounding in forming ``A^T lam`` (rows scaled by ``r`` scale ``x``
+    by ``1/r`` and that rounding with it), and summed complementarity at
+    most ``0.1 * TOL_STAT * (s**2 + x^T Q x)``.
 
     Every solve runs the pass once and verifies its result once.  The rows
     where ``initial_lam`` is positive are the candidates for its start,
@@ -357,12 +362,12 @@ def solve(problem, initial_lam: np.ndarray | None = None) -> QpSolution:
         problem, problem.g / s, feas_target, warm
     )
     x, lam = s * x, s * lam
-    primal, dual, comp, stat, comp_sum = _residuals(problem, x, lam)
+    primal, dual, comp, stat, comp_sum, terms = _residuals(problem, x, lam)
     energy = float(x @ (problem.q_diag * x))
     converged = (
         primal <= feas_target * s
         and comp_sum <= _SAFETY * TOL_STAT * (s * s + energy)
-        and stat <= 0.5 * TOL_STAT * s
+        and stat <= max(0.5 * TOL_STAT * s, problem.d * np.finfo(float).eps * terms)
     )
     solution = QpSolution(
         x, lam, int(adds + drops > 0), converged, primal, dual, comp, stat,

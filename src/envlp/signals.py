@@ -20,13 +20,6 @@ MIN_SAMPLES = 4
 MAX_MAGNITUDE = 1e150
 MIN_MAGNITUDE = 1e-150
 
-# The interpolant's slope is exactly ``observed_slope``, so its guarantee needs
-# no factor.  What the larger lift does is hide contour tips that fall between
-# rays: at 1.0, one regions benchmark pass (seed 7) failed the polygon cover
-# check on r05, r13 and r14; at 1.5 on r05 and r13.  ROADMAP item 1 (majorant
-# sampling) covers the polygon itself; until then the factor stays.
-SLOPE_SAFETY = 1.5
-
 _SLOPE_SLACK = 1e-9
 
 USER_SUPPLIED = "user_supplied"
@@ -57,13 +50,14 @@ class PeriodicSignal:
     """One period of a real signal on a uniform grid.
 
     ``lipschitz_c`` bounds the interpolant slope (and, when user-supplied, the
-    slope of the underlying signal).  Omitted, it is estimated as
-    ``SLOPE_SAFETY`` times the observed slope; ``c_provenance`` records which
-    (``ESTIMATED`` or ``USER_SUPPLIED``) and cannot be passed in.  The
-    constructor checks that there are at least ``MIN_SAMPLES`` samples, each
-    at most ``MAX_MAGNITUDE`` in magnitude and, unless all are zero, the
-    largest at least ``MIN_MAGNITUDE``, and that ``lipschitz_c`` is finite
-    and at least their observed slope.
+    slope of the underlying signal).  Omitted, it is estimated as the
+    observed slope, which is exactly the interpolant's slope and bounds
+    nothing beyond it; ``c_provenance`` records which (``ESTIMATED`` or
+    ``USER_SUPPLIED``) and cannot be passed in.  The constructor checks that
+    there are at least ``MIN_SAMPLES`` samples, each at most
+    ``MAX_MAGNITUDE`` in magnitude and, unless all are zero, the largest at
+    least ``MIN_MAGNITUDE``, and that ``lipschitz_c`` is finite and at least
+    their observed slope.
     """
 
     samples: np.ndarray
@@ -85,7 +79,7 @@ class PeriodicSignal:
             raise ValueError(f"signal magnitude {peak:g} is nonzero but below {MIN_MAGNITUDE:g}")
         observed = observed_slope(samples)
         if self.lipschitz_c is None:
-            c, provenance = SLOPE_SAFETY * observed, ESTIMATED
+            c, provenance = observed, ESTIMATED
         else:
             c, provenance = float(self.lipschitz_c), USER_SUPPLIED
         if not 0 <= c < np.inf:

@@ -157,7 +157,8 @@ class TestIngest:
         assert rc == 0
         values = [float(v) for v in out.read_text().split()]
         assert len(values) == 256
-        assert min(values) == pytest.approx(0.5, abs=1e-9)
+        # Each sample is the largest distance one ray either side of its own.
+        assert min(values) == pytest.approx(0.5 / np.cos(2 * np.pi / 256), abs=1e-9)
         assert max(values) == pytest.approx(np.sqrt(2) / 2, abs=1e-9)
         sidecar = json.loads((tmp_path / "square_signal.json").read_text())
         assert sidecar["centroid"] == pytest.approx([0.5, 0.5])
@@ -175,8 +176,9 @@ class TestIngest:
         out = tmp_path / "tri_signal.csv"
         assert main(["ingest", str(poly), "--samples", "256", "--out", str(out)]) == 0
         r = np.array([float(v) for v in out.read_text().split()])
+        # A corner between two rays tops two equal samples.
         peaks = sum(
-            1 for i in range(256) if r[i] > r[i - 1] and r[i] > r[(i + 1) % 256]
+            1 for i in range(256) if r[i] > r[i - 1] and r[i] >= r[(i + 1) % 256]
         )
         assert peaks == 3
 

@@ -5,6 +5,7 @@ import pytest
 
 from envlp import (
     Contour,
+    PeriodicSignal,
     approximate,
     centroid,
     radial_parametrize,
@@ -12,7 +13,7 @@ from envlp import (
     reconstruct_region,
 )
 from envlp import contour as contour_module
-from envlp.contour import _edge_pairs
+from envlp.contour import _edge_pairs, _ray_hits
 from envlp.fourier import FourierEnvelope
 
 from conftest import overhang_disk, star_points, vertex_margins
@@ -67,8 +68,8 @@ def crossing_message(points):
 
 
 def radial_reference(contour, M):
-    """Per-ray reference for the span-indexed kernel of ``radial_parametrize``:
-    ``(samples, star_shaped)``, or the message for the first ray that misses."""
+    """Per-ray reference for the span-indexed kernel ``_ray_hits``:
+    ``(hits, star_shaped)``, or the message for the first ray that misses."""
     origin = np.asarray(contour.centroid, dtype=float)
     p = contour.points
     e = np.roll(p, -1, axis=0) - p
@@ -217,18 +218,40 @@ def spiral_band(vertices=3000, per_turn=4):
     return np.vstack(((inner + 0.5)[:, None] * ring, (inner[:, None] * ring)[::-1]))
 
 
+def majorant_reference(contour, M):
+    """Per-ray reference for ``radial_parametrize``: sample ``j`` is the
+    largest of the ray hits ``j - 1``, ``j``, ``j + 1`` and the distances of
+    the vertices whose angle lies in ``[theta_{j-1}, theta_{j+1})``."""
+    hits = radial_reference(contour, M)[0]
+    offsets = contour.points - np.asarray(contour.centroid)
+    cells = np.floor((np.arctan2(offsets[:, 1], offsets[:, 0]) + np.pi) * M / (2 * np.pi))
+    radii = np.hypot(offsets[:, 0], offsets[:, 1])
+    samples = np.empty(M)
+    for j in range(M):
+        near = radii[(cells % M == (j - 1) % M) | (cells % M == j)]
+        samples[j] = max(hits[j - 1], hits[j], hits[(j + 1) % M], *near)
+    return samples
+
+
+def boundary_points(points, per_edge=7):
+    """The vertices and ``per_edge - 1`` evenly spaced points inside each edge."""
+    pts = np.asarray(points, dtype=float)
+    frac = np.arange(per_edge)[None, :, None] / per_edge
+    return (pts[:, None, :] + frac * (np.roll(pts, -1, axis=0) - pts)[:, None, :]).reshape(-1, 2)
+
+
 def assert_matches_per_ray_loop(contour, M):
-    """Samples and ``star_shaped`` equal the per-ray reference bit for bit,
+    """Ray hits and ``star_shaped`` equal the per-ray reference bit for bit,
     or both raise the same missed-ray text."""
     expected = radial_reference(contour, M)
     try:
-        sig = radial_parametrize(contour, M=M)
+        hits = _ray_hits(contour, M)[0]
     except ValueError as err:
         assert str(err) == expected
         return
     assert not isinstance(expected, str), expected
     samples, star_shaped = expected
-    assert np.array_equal(sig.samples, samples)
+    assert np.array_equal(hits, samples)
     assert contour.star_shaped is star_shaped
 
 
@@ -408,9 +431,14 @@ class TestRadialParametrize:
         assert contour.star_shaped is True
 
     def test_square_ray_distances(self):
-        sig = radial_parametrize(Contour.from_points(UNIT_SQUARE), M=256)
+        contour = Contour.from_points(UNIT_SQUARE)
+        hits = _ray_hits(contour, 256)[0]
         # index M/2 is angle 0 (edge midpoint), 5M/8 is pi/4 (corner)
-        assert sig.samples[128] == pytest.approx(0.5, abs=1e-12)
+        assert hits[128] == pytest.approx(0.5, abs=1e-12)
+        assert hits[160] == pytest.approx(np.sqrt(2) / 2, abs=1e-12)
+        # A sample is the largest distance one ray either side of its own.
+        sig = radial_parametrize(contour, M=256)
+        assert sig.samples[128] == pytest.approx(0.5 / np.cos(2 * np.pi / 256), abs=1e-12)
         assert sig.samples[160] == pytest.approx(np.sqrt(2) / 2, abs=1e-12)
 
     def test_ellipse_angle_convention(self):
@@ -418,11 +446,11 @@ class TestRadialParametrize:
         contour = Contour.from_points(
             np.column_stack((2 * np.cos(theta), np.sin(theta)))
         )
-        sig = radial_parametrize(contour, M=256)
-        assert sig.samples[0] == pytest.approx(2.0, abs=1e-6)  # theta = -pi
-        assert sig.samples[128] == pytest.approx(2.0, abs=1e-6)  # theta = 0
-        assert sig.samples[192] == pytest.approx(1.0, abs=1e-6)  # theta = +pi/2
-        assert sig.samples[64] == pytest.approx(1.0, abs=1e-6)  # theta = -pi/2
+        hits = _ray_hits(contour, 256)[0]
+        assert hits[0] == pytest.approx(2.0, abs=1e-6)  # theta = -pi
+        assert hits[128] == pytest.approx(2.0, abs=1e-6)  # theta = 0
+        assert hits[192] == pytest.approx(1.0, abs=1e-6)  # theta = +pi/2
+        assert hits[64] == pytest.approx(1.0, abs=1e-6)  # theta = -pi/2
 
     def test_non_star_shape_flagged_and_over_covered(self):
         assert Contour.from_points(NOTCHED).star_shaped is False
@@ -456,11 +484,41 @@ class TestRadialParametrize:
             contour = Contour.from_points(np.asarray(NOTCHED) + (3.7, -1.2))
         else:
             contour = Contour.from_points(mushroom())
-        samples, star_shaped = radial_reference(contour, M)
-        sig = radial_parametrize(contour, M=M)
-        assert np.array_equal(sig.samples, samples)
+        hits, star_shaped = radial_reference(contour, M)
+        assert np.array_equal(_ray_hits(contour, M)[0], hits)
         assert contour.star_shaped is star_shaped
         assert star_shaped is (shape == "star")
+        sig = radial_parametrize(contour, M=M)
+        assert np.array_equal(sig.samples, majorant_reference(contour, M))
+
+    @pytest.mark.parametrize("M", [64, 1000])
+    @pytest.mark.parametrize("shape", ["rotated star", "thin spike", "mushroom"])
+    def test_interpolant_dominates_boundary(self, shape, M):
+        # Every vertex and edge point lies within the interpolant's radius
+        # at its angle, also where it falls between two rays.
+        if shape == "rotated star":
+            pts = region_shape("star", 4)
+        elif shape == "thin spike":
+            # A unit circle with a tip at radius 3 half way between two rays,
+            # on a base one degree wide.
+            tip = -np.pi + 2 * np.pi * 10.5 / M
+            theta = tip + np.deg2rad(np.arange(0.5, 360.0, 1.0))
+            pts = np.vstack(
+                (3 * np.array([np.cos(tip), np.sin(tip)]),
+                 np.column_stack((np.cos(theta), np.sin(theta))))
+            )
+        else:
+            pts = mushroom()
+        contour = Contour.from_points(pts)
+        assert contour.star_shaped is (shape != "mushroom")
+        sig = radial_parametrize(contour, M=M)
+        offsets = boundary_points(contour.points) - np.asarray(contour.centroid)
+        t = (np.arctan2(offsets[:, 1], offsets[:, 0]) + np.pi) / (2 * np.pi)
+        radii = np.hypot(offsets[:, 0], offsets[:, 1])
+        assert np.all(sig.value_at(t) >= radii * (1 - 1e-12))
+        # The plain ray hits leave the tips out.
+        hits = PeriodicSignal.from_samples(_ray_hits(contour, M)[0])
+        assert np.min(hits.value_at(t) - radii) < -1e-3
 
     @pytest.mark.parametrize("M", [64, 1000, 5001])
     def test_overhang_between_rays_not_star(self, M):
@@ -617,11 +675,6 @@ class TestReconstructRegion:
         margins, r_max = vertex_margins(res.subopt, star_contour)
         assert np.all(margins >= -1e-9 * r_max)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 1: rays sample the radius only at their angles, so "
-        "star tips between rays stick out until the majorant sampling fix",
-    )
     def test_superset_of_star_tips_between_rays(self):
         # Seven tips, the first half way between two of the 64 rays.
         tips = tuple(k / 7 + 0.5 / 64 for k in range(7))

@@ -13,10 +13,13 @@ class TestFromSamples:
         assert sig.lipschitz_c == 0.0
         assert sig.c_provenance == "estimated"
 
-    def test_cosine_estimate_brackets_true_slope(self):
+    def test_cosine_estimate_is_observed_slope(self):
+        # An estimate bounds the interpolant's slope only: here it is just
+        # below 2*pi, the slope of the sampled cosine.
         t = np.arange(1024) / 1024
         sig = PeriodicSignal.from_samples(np.cos(2 * np.pi * t))
-        assert 2 * np.pi <= sig.lipschitz_c <= 1.5 * 2 * np.pi * 1.01
+        assert sig.lipschitz_c == observed_slope(sig.samples)
+        assert 2 * np.pi * (1 - 1e-5) <= sig.lipschitz_c < 2 * np.pi
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
