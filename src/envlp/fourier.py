@@ -219,6 +219,54 @@ def _grid_values(params: np.ndarray, m: int) -> np.ndarray:
     return np.fft.irfft(spectrum, m * r, norm="forward")[::r]
 
 
+def _rmatvec(L: int, y: np.ndarray) -> np.ndarray:
+    """``A^T y`` for the :func:`_phasors` rows of the grid ``i/n``,
+    ``n = len(y) >= 2L+1``: bins ``0..L`` of one real FFT of ``y``."""
+    bins = np.fft.rfft(y)[: L + 1]
+    return np.concatenate((bins.real[:1], 2.0 * bins.real[1:], 2.0 * bins.imag[1:]))
+
+
+def _gram_tables(L: int, n: int):
+    """:func:`_gram`'s index tables for the grid ``i/n``: the FFT bin of each
+    harmonic ``m <= 2L`` and whether it is folded, then ``|j - k|``,
+    ``j + k`` and ``sign(j - k)`` for ``j, k = 1..L``."""
+    m = np.arange(2 * L + 1)
+    folded = m > n // 2
+    j = np.arange(1, L + 1)
+    diff = j - j[:, None]
+    sign = np.sign(diff).astype(float)
+    return np.where(folded, n - m, m), folded, np.abs(diff), j + j[:, None], sign
+
+
+def _gram(w: np.ndarray, tables) -> np.ndarray:
+    """``A^T diag(w) A`` for the :func:`_phasors` rows of the grid ``i/n``,
+    ``n = len(w) >= 2L+1``, from one real FFT of ``w`` and the
+    :func:`_gram_tables` of ``(L, n)``.
+
+    Each entry is a sum of ``C_m = sum_i w_i cos(2 pi m i/n)`` and
+    ``S_m = sum_i w_i sin(2 pi m i/n)`` at ``m = |j - k|`` and ``j + k``,
+    so only ``m <= 2L`` is read.  ``C_m - i S_m`` is bin ``m`` of the
+    FFT, and a harmonic above ``n/2`` is read from bin ``n - m`` with
+    ``S`` negated, so the result is exact for every ``n >= 2L+1``.
+    """
+    bin_of, folded, diff, total, sign = tables
+    L = diff.shape[0]
+    bins = np.fft.rfft(w)[bin_of]
+    c = bins.real
+    s = np.where(folded, bins.imag, -bins.imag)
+    out = np.empty((2 * L + 1, 2 * L + 1))
+    out[0, 0] = c[0]
+    out[0, 1 : L + 1] = 2.0 * c[1 : L + 1]
+    out[0, L + 1 :] = -2.0 * s[1 : L + 1]
+    out[1 : L + 1, 1 : L + 1] = 2.0 * (c[diff] + c[total])
+    out[L + 1 :, L + 1 :] = 2.0 * (c[diff] - c[total])
+    # Row cos(j), column sin(k): -2 (S_{k+j} + S_{k-j}), S_{-m} = -S_m.
+    out[1 : L + 1, L + 1 :] = -2.0 * (s[total] + sign * s[diff])
+    out[1:, 0] = out[0, 1:]
+    out[L + 1 :, 1 : L + 1] = out[1 : L + 1, L + 1 :].T
+    return out
+
+
 def apriori_derivative_bound(L: int, sup_norm: float) -> float:
     """Slope bound available before solving: ``2*pi*L*sqrt(2L+1)*sup_norm``.
 

@@ -247,7 +247,8 @@ def _active_set(problem, g, feas_target, warm):
     the first ``k`` slots of zero-padded buffers.  An add borders ``H`` with
     the new row's Schur complement; a drop downdates it and moves the last
     slot into the freed one.  Each direction takes one refinement step
-    ``r += H (N z)``.  Both loops are capped.
+    ``r += H (N z)``.  Both loops are capped; an inner pass takes at most
+    ``k + 1`` steps, as each drops a row, adds row ``p`` or returns.
     """
     n, d = problem.n, problem.d
     ginv = 0.5 / problem.q_diag
@@ -276,7 +277,7 @@ def _active_set(problem, g, feas_target, warm):
         v = ginv * row_p
         cut = _RANK_CUT * float(row_p @ v)
         lam_p = 0.0
-        for _inner in range(3 * d + 20):
+        for _inner in range(k + 1):
             r = h @ (rows @ v)
             z = v - ginv * (rows.T @ r)
             r += h @ (rows @ z)
@@ -318,8 +319,6 @@ def _active_set(problem, g, feas_target, warm):
             k += 1
             adds += 1
             break
-        else:
-            return result(f"row {p} still violated after {3 * d + 20} drops")
     return result(f"no feasible point after {30 * (d + 1) + 100} rows added")
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -21,8 +20,11 @@ from . import qp
 from .fourier import (
     FourierEnvelope,
     _check_count,
+    _gram,
+    _gram_tables,
     _grid_values,
     _phasors,
+    _rmatvec,
     apriori_derivative_bound,
     check_run,
     phasor_matrix,
@@ -90,29 +92,23 @@ class EnvelopeResult:
 
 def build_constraints(sig: PeriodicSignal, L: int, n: int) -> qp.QpProblem:
     """The ``n``-point system of :class:`_GridProblem`, its rows formed up front."""
-    check_run(L, n)
-    grid = _GridProblem(sig, int(L), int(n))
+    grid = _GridProblem(sig, L, n)
     rows = phasor_matrix(grid.L, np.arange(grid.n) / grid.n)
     return qp.QpProblem(q_diag=grid.q_diag, a_rows=rows, g=grid.g)
 
 
 class _GridProblem:
-    """The one definition of the discretized system on the grid ``i/n``:
-    energy weights ``q_diag``, signal values ``g``, row ``i`` formed when
+    """The discretized system on the grid ``i/n`` of a run that passes
+    :func:`check_run`, as :func:`qp.solve` reads it: row ``i`` formed when
     asked for, bit for bit as ``phasor_matrix`` forms it, and ``A x`` by the
-    one inverse real FFT of :func:`fourier.grid_values`.  :func:`qp.solve`
-    reads it without the ``n x (2L+1)`` matrix, :func:`build_constraints`
-    forms its rows, and :func:`certify` reads its slack ``A x - g``.  For
-    ``n >= 2L+1``, :meth:`rmatvec` gives ``A^T y`` and :meth:`gram` gives
-    ``A^T diag(w) A`` from one real FFT each, the two products of
-    :func:`_interior_start`'s Newton steps.
-    """
+    inverse real FFT of :func:`fourier.grid_values`."""
 
     def __init__(self, sig: PeriodicSignal, L: int, n: int):
-        self.L, self.n, self.d = L, n, 2 * L + 1
+        check_run(L, n)
+        self.L, self.n, self.d = int(L), int(n), 2 * int(L) + 1
         self.q_diag = np.full(self.d, 2.0)
         self.q_diag[0] = 1.0
-        self.g = sig.value_at(np.arange(n) / n)
+        self.g = sig.value_at(np.arange(self.n) / self.n)
 
     def rows(self, idx) -> np.ndarray:
         idx = np.asarray(idx)
@@ -121,50 +117,6 @@ class _GridProblem:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return _grid_values(x, self.n)
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """``A^T y``: bins ``0..L`` of one real FFT of ``y``."""
-        bins = np.fft.rfft(y)[: self.L + 1]
-        return np.concatenate((bins.real[:1], 2.0 * bins.real[1:], 2.0 * bins.imag[1:]))
-
-    @cached_property
-    def _gram_tables(self):
-        """:meth:`gram`'s index tables, built on its first call: the FFT bin
-        of each harmonic ``m <= 2L`` and whether it is folded, then ``|j - k|``,
-        ``j + k`` and ``sign(j - k)`` for ``j, k = 1..L``."""
-        L, n = self.L, self.n
-        m = np.arange(2 * L + 1)
-        folded = m > n // 2
-        j = np.arange(1, L + 1)
-        diff = j - j[:, None]
-        sign = np.sign(diff).astype(float)
-        return np.where(folded, n - m, m), folded, np.abs(diff), j + j[:, None], sign
-
-    def gram(self, w: np.ndarray) -> np.ndarray:
-        """``A^T diag(w) A`` from one real FFT of ``w``.
-
-        Each entry is a sum of ``C_m = sum_i w_i cos(2 pi m i/n)`` and
-        ``S_m = sum_i w_i sin(2 pi m i/n)`` at ``m = |j - k|`` and ``j + k``,
-        so only ``m <= 2L`` is read.  ``C_m - i S_m`` is bin ``m`` of the
-        FFT, and a harmonic above ``n/2`` is read from bin ``n - m`` with
-        ``S`` negated, so the result is exact for every ``n >= 2L+1``.
-        """
-        L = self.L
-        bin_of, folded, diff, total, sign = self._gram_tables
-        bins = np.fft.rfft(w)[bin_of]
-        c = bins.real
-        s = np.where(folded, bins.imag, -bins.imag)
-        out = np.empty((self.d, self.d))
-        out[0, 0] = c[0]
-        out[0, 1 : L + 1] = 2.0 * c[1 : L + 1]
-        out[0, L + 1 :] = -2.0 * s[1 : L + 1]
-        out[1 : L + 1, 1 : L + 1] = 2.0 * (c[diff] + c[total])
-        out[L + 1 :, L + 1 :] = 2.0 * (c[diff] - c[total])
-        # Row cos(j), column sin(k): -2 (S_{k+j} + S_{k-j}), S_{-m} = -S_m.
-        out[1 : L + 1, L + 1 :] = -2.0 * (s[total] + sign * s[diff])
-        out[1:, 0] = out[0, 1:]
-        out[L + 1 :, 1 : L + 1] = out[1 : L + 1, L + 1 :].T
-        return out
 
 
 def _seed_on_grid(initial_lam, n: int) -> np.ndarray:
@@ -182,7 +134,10 @@ def _seed_on_grid(initial_lam, n: int) -> np.ndarray:
 # Cold pass / (start + pass) over the five benchmark families at three seeds,
 # 2 shared vCPUs, one BLAS thread: (16, 1024) 1.6x, (24, 49) 1.1x,
 # (24, 1024) 2.0x, (32, 2048) 2.6x, (48, 4096) 3.6x, (64, 4096) 4.5x.
-# Below 24 the cold pass is kept, and with it the output of every smaller run.
+# Below 24 the cold pass is kept.  With the start on every cold grid solve
+# (in-process passes at seed 7, medians of 15 and 7 alternating passes, two
+# runs), regions took 157-162 ms per pass against 176-181 ms; sweep_small,
+# whose cold solves are at n = 32, took 1830-1859 ms against 1644-1701 ms.
 _INTERIOR_START_MIN_L = 24
 
 # Mehrotra steps of the interior start: at most this many, each stopping
@@ -206,9 +161,10 @@ def _interior_start(problem: _GridProblem) -> np.ndarray:
     ``lam = 2 (max(g, 0) + 1) / n`` is primal and dual feasible, because the
     harmonics sum to 0 over the grid, and each step keeps it so.  A step
     solves ``(2Q + A^T D A) dx = r``, ``D = lam / s``, for two right-hand
-    sides, one LU solve each; :meth:`_GridProblem.gram` forms the matrix and
-    :meth:`_GridProblem.rmatvec` the right-hand sides, so all length-``n``
-    work is FFTs and elementwise updates of ``s``, ``lam`` and two buffers.
+    sides, one LU solve each; :func:`fourier._gram` forms the matrix, on
+    index tables built once per start, and :func:`fourier._rmatvec` the
+    right-hand sides, so all length-``n`` work is FFTs and elementwise
+    updates of ``s``, ``lam`` and two buffers.
 
     The steps stop once the duality gap ``s^T lam`` is at most ``1e-9`` of
     the energy ``x^T Q x`` and at most ``2(2L+1)`` rows have ``lam_i > s_i``,
@@ -233,6 +189,7 @@ def _interior_start(problem: _GridProblem) -> np.ndarray:
     s += top
     lam = np.full(n, 2.0 * top / n)
     dl = np.empty(n)
+    tables = _gram_tables(problem.L, n)
     for _step in range(_START_STEPS):
         gap = float(s @ lam)
         energy = float(x @ (problem.q_diag * x))
@@ -241,7 +198,7 @@ def _interior_start(problem: _GridProblem) -> np.ndarray:
             or np.count_nonzero(lam > s) <= qp._SEED_READ * problem.d
         ):
             break
-        k = problem.gram(np.divide(lam, s, out=dl))
+        k = _gram(np.divide(lam, s, out=dl), tables)
         k[np.diag_indices_from(k)] += q2
         # numpy has no triangular solve, and at L = 64 one LU solve per
         # right-hand side is four times faster than inverting the factor.
@@ -262,7 +219,7 @@ def _interior_start(problem: _GridProblem) -> np.ndarray:
         w *= dl
         w -= sigma_mu
         w /= s
-        dx = np.linalg.solve(k, -q2 * x - problem.rmatvec(w))
+        dx = np.linalg.solve(k, -q2 * x - _rmatvec(problem.L, w))
         ds = problem.matvec(dx)
         np.divide(ds, s, out=dl)
         shrink = -float(np.min(dl))
@@ -307,14 +264,12 @@ def solve_appopt(
     run starts from ``x = 0``.  :func:`qp.solve` picks the start from
     either, and the pass alone forms and verifies the result.
     """
-    check_run(L, n)
-    L, n = int(L), int(n)
     problem = _GridProblem(sig, L, n)
-    seed = _seed_on_grid(initial_lam, n)
-    if L >= _INTERIOR_START_MIN_L and not seed.any():
+    seed = _seed_on_grid(initial_lam, problem.n)
+    if problem.L >= _INTERIOR_START_MIN_L and not seed.any():
         seed = _interior_start(problem)
     solution = qp.solve(problem, initial_lam=seed)
-    return FourierEnvelope.from_params(L, solution.x), solution
+    return FourierEnvelope.from_params(problem.L, solution.x), solution
 
 
 def _lift_delta(appopt: FourierEnvelope, c: float, c_prime: float, n: int) -> float:
@@ -377,14 +332,12 @@ def certify(
     denser than ``max(L, 1) * n`` is recommended so dips between constraint
     phases are visible; when ``grid_m`` divides ``n`` (the default 8192 and
     ``n = 16384``, say) every phase checked is a constraint phase, and
-    between them only the lift guarantees the envelope.  The margin is the
-    slack ``A x - g`` of :class:`_GridProblem` on ``grid_m`` phases, ``x``
-    the envelope's parameters: one inverse real FFT, exact for every grid
-    size.
+    between them only the lift guarantees the envelope.  The envelope on
+    the grid is one inverse real FFT, exact for every grid size.
     """
     grid_m = _check_count(grid_m, MIN_CERTIFY_GRID, "certification grid")
-    grid = _GridProblem(sig, subopt.L, grid_m)
-    min_margin = float(np.min(grid.matvec(subopt.params()) - grid.g))
+    envelope = _grid_values(subopt.params(), grid_m)
+    min_margin = float(np.min(envelope - sig.value_at(np.arange(grid_m) / grid_m)))
     return min_margin >= -CERTIFY_TOL * sig.sup_norm(), min_margin
 
 

@@ -527,7 +527,7 @@ class TestCertify:
         def no_grid(*args, **kwargs):
             raise AssertionError("evaluated on an invalid grid")
 
-        monkeypatch.setattr(solver, "_GridProblem", no_grid)
+        monkeypatch.setattr(solver, "_grid_values", no_grid)
         assert main(["certify", str(result), cos_csv, "--grid", "8"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

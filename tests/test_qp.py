@@ -523,7 +523,28 @@ class _LeastViolatedFirst:
         return ax
 
 
+class _DependentRow:
+    """Two equal rows ``[1]`` with ``g = 1``.  ``matvec`` reads row 1 one
+    unit below ``rows(1) @ x``, as grid values by FFT and rows by direct
+    cos/sin can disagree in rounding, so row 1 looks violated once row 0
+    is in the working set."""
+
+    n, d = 2, 1
+    q_diag = np.ones(1)
+    g = np.ones(2)
+
+    def rows(self, idx):
+        return np.ones(np.shape(idx) + (1,))
+
+    def matvec(self, x):
+        return np.array([x[0], x[0] - 1.0])
+
+
 class TestFailureModes:
+    def test_dependent_row_stops_a_pass(self):
+        with pytest.raises(NotConverged, match="^qp: row 1 is dependent on the working set"):
+            solve(_DependentRow(), initial_lam=[1.0, 0.0])
+
     def test_outer_cap_stops_a_pass(self):
         # The cap on rows added is 30 * (d + 1) + 100 = 160 at d = 1.
         with pytest.raises(NotConverged, match="^qp: no feasible point after 160 rows added") as info:

@@ -15,7 +15,7 @@ from envlp import (
     solve,
     solve_appopt,
 )
-from envlp.fourier import FourierEnvelope, grid_values
+from envlp.fourier import FourierEnvelope, _gram, _gram_tables, _rmatvec, grid_values
 from envlp.qp import TOL_FEAS, TOL_STAT
 from envlp import qp, solver
 from envlp.solver import (
@@ -259,19 +259,19 @@ class TestInteriorStart:
     def test_kernels_match_dense_rows(self, L, star_signal):
         # n < 4L reads harmonics above n/2 from folded bins.
         for n in sorted({2 * L + 1, max(2 * L + 1, 4 * L - 1), 4 * L, 4 * L + 1, 1001, 4096}):
-            grid, a = _GridProblem(star_signal, L, n), build_constraints(star_signal, L, n).a_rows
+            a, tables = build_constraints(star_signal, L, n).a_rows, _gram_tables(L, n)
             rng = np.random.default_rng(n)
             y, w = rng.normal(size=n), rng.uniform(0.0, 2.0, n)
             ref = a.T @ y
-            assert np.max(np.abs(grid.rmatvec(y) - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert np.max(np.abs(_rmatvec(L, y) - ref)) <= 1e-12 * np.max(np.abs(ref))
             ref = a.T @ (w[:, None] * a)
-            assert np.max(np.abs(grid.gram(w) - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert np.max(np.abs(_gram(w, tables) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_gram_results_are_independent(self, star_signal):
-        # The index tables are built once per problem; each result is new.
-        grid = _GridProblem(star_signal, 24, 1024)
-        w = np.random.default_rng(0).uniform(0.0, 2.0, grid.n)
-        first, second = grid.gram(w), grid.gram(w)
+    def test_gram_results_are_independent(self):
+        # The index tables are built once per start; each result is new.
+        tables = _gram_tables(24, 1024)
+        w = np.random.default_rng(0).uniform(0.0, 2.0, 1024)
+        first, second = _gram(w, tables), _gram(w, tables)
         np.testing.assert_array_equal(first, second)
         kept = second.copy()
         first += 1.0
@@ -311,8 +311,7 @@ class TestInteriorStart:
         # At (24, 1024) the smooth signal is its own envelope: every row is
         # tight, and every one is ranked.
         calls = []
-        gram = _GridProblem.gram
-        monkeypatch.setattr(_GridProblem, "gram", lambda p, w: calls.append(1) or gram(p, w))
+        monkeypatch.setattr(solver, "_gram", lambda w, t: calls.append(1) or _gram(w, t))
         ranks = _interior_start(_GridProblem(family_signal("smooth"), 24, 1024))
         assert 0 < len(calls) <= solver._START_STEPS
         assert np.count_nonzero(ranks) > 2 * (2 * 24 + 1)
@@ -600,7 +599,9 @@ class TestApproximate:
         }
 
 
-class TestFineGridOpt:
+class TestContinuumStandIn:
+    """``solve_appopt`` on 4096 phases, the stand-in for the continuum optimum."""
+
     def test_cosine_cost(self, cos_signal):
         fine = solve_appopt(cos_signal, 1, 4096)[0]
         assert fine.energy() == pytest.approx(1 / 3, abs=1e-4)
